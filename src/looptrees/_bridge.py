@@ -47,9 +47,11 @@ def _convolve_window(pa: np.ndarray, pb: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _sum_pmf_tables(law, n: int) -> dict:
-    """pmf of S_m on [0, n-1] for every half size m, built by convolution."""
-    tables = {1: law.pmf(np.arange(n))}
+def _sum_pmf_tables(window: np.ndarray) -> dict:
+    """pmf of S_m on [0, n-1] for every half size m, built by convolution;
+    ``window`` is the single-draw pmf on [0, n-1]."""
+    n = window.size
+    tables = {1: window}
     for m in _half_sizes(n):
         if m == 1 or m in tables:
             continue
@@ -64,11 +66,35 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
     tables = law._bridge_tables.get(n)
     if tables is None:
-        tables = _sum_pmf_tables(law, n)
+        tables = _sum_pmf_tables(law.pmf(np.arange(n)))
         law._bridge_tables[n] = tables
+    return _bridge(tables, rng)
+
+
+def _draw_in_segments(w: np.ndarray, offsets: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """One draw per segment w[offsets[i]:offsets[i+1]] with probabilities
+    proportional to w, as an index relative to the segment's start."""
+    cum = np.cumsum(w)
+    ends = offsets[1:] - 1
+    seg_sum = np.add.reduceat(w, offsets[:-1])
+    if np.any(seg_sum <= 0.0):
+        raise RuntimeError(
+            "a conditional draw has no admissible value; "
+            "the convolution table lost too much precision"
+        )
+    target = (cum[ends] - seg_sum) + rng.random(ends.size) * seg_sum
+    g = np.searchsorted(cum, target, side="left")
+    return np.clip(g, offsets[:-1], ends) - offsets[:-1]
+
+
+def _bridge(tables: dict, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
+    conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables."""
+    n = tables[1].size
     if tables[n][n - 1] <= 0.0:
         raise ValueError(
-            f"total {n - 1} is unattainable by {n} draws from this offspring law"
+            f"total {n - 1} is unattainable by {n} draws from this law"
         )
 
     out = np.zeros(n, dtype=np.int64)
@@ -84,7 +110,6 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
         if active.size == 0:
             break
         sz = size[active]
-        a_all = (sz + 1) // 2
         next_size = []
         next_total = []
         next_start = []
@@ -100,19 +125,7 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
             j_flat = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
             t_flat = np.repeat(t, lengths)
             w = pa[j_flat] * pb[t_flat - j_flat]
-            cum = np.cumsum(w)
-            ends = offsets[1:] - 1
-            seg_sum = np.add.reduceat(w, offsets[:-1])
-            if np.any(seg_sum <= 0.0):
-                raise RuntimeError(
-                    "conditional split has no admissible left total; "
-                    "the convolution table lost too much precision"
-                )
-            cum_end = cum[ends]
-            target = (cum_end - seg_sum) + rng.random(sel.size) * seg_sum
-            g = np.searchsorted(cum, target, side="left")
-            g = np.clip(g, offsets[:-1], ends)
-            j = np.clip(g - offsets[:-1], 0, t)
+            j = _draw_in_segments(w, offsets, rng)
             next_size.append(np.full(sel.size, a, dtype=np.int64))
             next_total.append(j)
             next_start.append(start[sel])

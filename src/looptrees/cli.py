@@ -35,18 +35,51 @@ EXPERIMENTS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _stable_alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not 1.0 < value < 2.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 1 and 2, got {text}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="looptrees",
         description="Samplers and experiments for stable looptrees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--n", type=int, default=None,
+        p.add_argument("--alpha", type=_stable_alpha, default=None)
+        p.add_argument("--n", type=_positive_int, default=None,
                        help="size parameter (vertices, or leaves for dissections)")
-        p.add_argument("--replicates", type=int, default=None)
+        p.add_argument("--replicates", type=_positive_int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", type=Path, default=Path("."))
         p.add_argument("--format", choices=("json", "csv", "edgelist", "svg"),
@@ -104,7 +137,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _json_out(payload: dict, cfg: dict) -> str:
-    return json.dumps({"header": _header(cfg), **payload}, indent=1) + "\n"
+    return json.dumps({"header": _header(cfg), **payload}, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .gw_tree import OffspringLaw, PlaneTree, tree_stats
+from ._bridge import _bridge, _draw_in_segments, _sum_pmf_tables
+from .gw_tree import OffspringLaw, PlaneTree, _cycle_shift, tree_stats
 from .looptree import build_loop
 
 __all__ = [
@@ -131,14 +132,21 @@ class Dissection:
 
 
 def _check_crossings(chords: np.ndarray) -> None:
-    """Chords are normalized (lo, hi) rows; raise on the first crossing."""
-    m = chords.shape[0]
-    for i in range(m):
-        a, b = int(chords[i, 0]), int(chords[i, 1])
-        for j in range(i + 1, m):
-            c, d = int(chords[j, 0]), int(chords[j, 1])
-            if (a < c < b < d) or (c < a < d < b):
-                raise ValueError(f"chords ({a}, {b}) and ({c}, {d}) cross")
+    """Chords are normalized (lo, hi) rows; raise naming one crossing pair.
+
+    Sweeps the chords by increasing lo, longer first, keeping the chords
+    still open on a stack.  Non-crossing chords nest, so a new chord crosses
+    some open chord exactly when it crosses the innermost one.
+    """
+    order = np.lexsort((-chords[:, 1], chords[:, 0]))
+    stack = []
+    for c, d in chords[order].tolist():
+        while stack and stack[-1][1] <= c:
+            stack.pop()
+        if stack and stack[-1][1] < d:
+            a, b = stack[-1]
+            raise ValueError(f"chords ({a}, {b}) and ({c}, {d}) cross")
+        stack.append((c, d))
 
 
 def _walk_adjacency(d: Dissection):
@@ -232,42 +240,86 @@ def from_dual(tree: PlaneTree) -> Dissection:
     return Dissection(n, chords_polygon)
 
 
+def _block_pmf(mu: np.ndarray) -> np.ndarray:
+    """pmf h on [0, n-1] of a block's up-total, from the offspring pmf mu on
+    [0, n] with mu_1 = 0.
+
+    A block is a run of internal vertices closed by one leaf, and its
+    up-total is the sum of (children - 1) over its internal vertices, so
+    h(0) = mu_0 and h(s) = sum_{z=1..s} mu_{z+1} h(s-z).
+    """
+    n = mu.size - 1
+    rev = np.ascontiguousarray(mu[::-1])  # rev[n-s-1+j] = mu_{s-j+1}
+    h = np.empty(n)
+    h[0] = mu[0]
+    for s in range(1, n):
+        # np.dot takes the BLAS dot product; 1-d matmul is several times slower
+        h[s] = np.dot(h[:s], rev[n - s - 1:n - 1])
+    return h
+
+
+def _expand_blocks(totals: np.ndarray, mu: np.ndarray, h: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Children counts of blocks with the given positive-sum up-totals.
+
+    Each block draws its internal vertices front to back: with r still to
+    place, the next vertex has z + 1 children with probability
+    mu_{z+1} h(r-z) / h(r), until r is used up; its leaf comes last.  All
+    blocks draw their k-th internal vertex in one vectorized round.
+    """
+    rem = totals.copy()
+    who, rank, ups = [], [], []
+    active = np.flatnonzero(rem)
+    k = 0
+    while active.size:
+        r = rem[active]
+        offsets = np.concatenate(([0], np.cumsum(r)))
+        r_flat = np.repeat(r, r)
+        z_flat = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], r)
+        # dividing by h(r) keeps every segment's mass near 1, so the shared
+        # cumulative sum resolves a small h(r) as well as a large one
+        w = mu[z_flat + 1] * h[r_flat - z_flat] / h[r_flat]
+        z = _draw_in_segments(w, offsets, rng) + 1
+        who.append(active)
+        rank.append(np.full(active.size, k, dtype=np.int64))
+        ups.append(z)
+        rem[active] -= z
+        active = active[rem[active] > 0]
+        k += 1
+    who = np.concatenate(who)
+    internal = np.bincount(who, minlength=totals.size)
+    start = np.cumsum(internal + 1) - (internal + 1)
+    counts = np.zeros(totals.size + who.size, dtype=np.int64)
+    counts[start[who] + np.concatenate(rank)] = np.concatenate(ups) + 1
+    return counts
+
+
 def sample_boltzmann(law: OffspringLaw, n_leaves: int,
                      rng: np.random.Generator) -> Dissection:
     """Random dissection weighted by the product of face terms mu_(deg-1).
 
     Equivalent to the dual of a branching-process tree conditioned to have
-    exactly ``n_leaves`` leaves, which is sampled by plain rejection: grow
-    unconditioned trees and keep the first one with the right leaf count.
+    exactly ``n_leaves`` leaves, which is sampled exactly and without
+    rejection.  Cutting the tree's Lukasiewicz walk after every leaf gives
+    ``n_leaves`` i.i.d. blocks (see _block_pmf) whose up-totals sum to
+    ``n_leaves - 1``; those totals come from the size-conditioned bridge run
+    on the block pmf, each block is then expanded given its total, and the
+    cycle lemma rotates whole blocks into the tree.  Raises ValueError when
+    no tree of this law has ``n_leaves`` leaves.
     """
     if not law.forbids_unary:
         raise ValueError("the offspring law must give unary vertices zero mass")
     if n_leaves < 2:
         raise ValueError(f"n_leaves must be >= 2, got {n_leaves}")
-    # a tree without unary vertices and n leaves has at most 2n-1 vertices
-    row = 2 * n_leaves - 1
-    cap = 1_000_000
-    batch = 256
-    attempts = 0
-    while attempts < cap:
-        rows = min(batch, cap - attempts)
-        xi = law.sample(rows * row, rng).reshape(rows, row)
-        walk = np.cumsum(xi - 1, axis=1)
-        hit = walk == -1
-        has_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        zeros = np.cumsum(xi == 0, axis=1)
-        ok = has_hit & (zeros[np.arange(rows), first] == n_leaves)
-        attempts += rows
-        if ok.any():
-            r = int(np.argmax(ok))
-            tree = PlaneTree(xi[r, : first[r] + 1])
-            return from_dual(tree)
-        batch = min(2 * batch, 8192)
-    raise RuntimeError(
-        f"no tree with {n_leaves} leaves in {cap} attempts; "
-        "this leaf count may be unreachable or too large for this law"
-    )
+    n = int(n_leaves)
+    mu = law.pmf(np.arange(n + 1))
+    h = _block_pmf(mu)
+    # throwaway tables: law._bridge_tables holds size-conditioned tables
+    # under the same key n
+    totals = _bridge(_sum_pmf_tables(h), rng)
+    counts = _expand_blocks(totals, mu, h, rng)
+    # the walk's first minimum follows a leaf, so the shift moves whole blocks
+    return from_dual(PlaneTree(_cycle_shift(counts - 1) + 1))
 
 
 def gh_gap_check(d: Dissection):

@@ -133,3 +133,38 @@ def test_experiment_gh_sandwich_small(tmp_path):
              "--n", "30", "--seed", "3")
     report = json.loads((tmp_path / "gh_sandwich_report.json").read_text())
     assert rc == 0 and report["pass"]
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(tmp_path):
+    # one replicate has no standard error; the report says null, not NaN
+    run(tmp_path, "experiment", "max-jump", "--n", "200", "--replicates", "1",
+        "--seed", "4")
+    report = _strict_json((tmp_path / "max_jump_report.json").read_text())
+    assert report["stderr"] is None
+    run(tmp_path, "experiment", "laplace-check", "--n", "1", "--seed", "4")
+    report = _strict_json((tmp_path / "laplace_check_report.json").read_text())
+    assert report["worst_z"] is None and report["pass"] is False
+    assert all(row["stderr"] is None and row["z"] is None for row in report["rows"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "tree", "--n", "0"),
+    ("sample", "tree", "--alpha", "2.5"),
+    ("sample", "looptree", "--alpha", "one"),
+    ("experiment", "dimension", "--replicates", "0"),
+])
+def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, *argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and argv[2] in lines[0]

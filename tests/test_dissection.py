@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+import time
+
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
 from looptrees.dissection import (
     Dissection,
+    _block_pmf,
+    _check_crossings,
     dual_tree,
     from_dual,
     gh_gap_check,
@@ -32,6 +39,46 @@ from looptrees.gw_tree import (
 def test_constructor_validation(bad, word):
     with pytest.raises(ValueError, match=word):
         Dissection(*bad)
+
+
+def pairwise_crossings(chords: np.ndarray) -> None:
+    """Quadratic oracle for _check_crossings: compare every pair of chords."""
+    m = chords.shape[0]
+    for i in range(m):
+        a, b = int(chords[i, 0]), int(chords[i, 1])
+        for j in range(i + 1, m):
+            c, d = int(chords[j, 0]), int(chords[j, 1])
+            if (a < c < b < d) or (c < a < d < b):
+                raise ValueError(f"chords ({a}, {b}) and ({c}, {d}) cross")
+
+
+def test_check_crossings_matches_pairwise_oracle(rng_factory):
+    rng = rng_factory(44)
+    law = stable_offspring(1.5, "no-unary")
+    outcomes = {True: 0, False: 0}
+    for trial in range(400):
+        n = int(rng.integers(4, 40))
+        if trial % 4 == 0:
+            # a sampled dissection's chords, which never cross
+            chords = sample_boltzmann(law, n - 1, rng).chords
+        else:
+            pts = np.sort(rng.integers(0, n, size=(int(rng.integers(1, n)), 2)), axis=1)
+            chords = np.unique(pts[pts[:, 1] - pts[:, 0] >= 2], axis=0)
+        try:
+            pairwise_crossings(chords)
+            crossing = False
+        except ValueError:
+            crossing = True
+        outcomes[crossing] += 1
+        if not crossing:
+            _check_crossings(chords)
+            continue
+        with pytest.raises(ValueError, match="cross") as info:
+            _check_crossings(chords)
+        a, b, c, d = map(int, re.findall(r"\d+", str(info.value)))
+        assert [a, b] in chords.tolist() and [c, d] in chords.tolist()
+        assert (a < c < b < d) or (c < a < d < b)
+    assert min(outcomes.values()) > 100
 
 
 def test_square_duals():
@@ -140,3 +187,153 @@ def test_gh_gap_check_examples(rng_factory):
         d = sample_boltzmann(law, n_leaves, rng)
         ok, obs = gh_gap_check(d)
         assert ok, (n_leaves, alpha, obs)
+
+
+def rejection_boltzmann(law: OffspringLaw, n_leaves: int,
+                        rng: np.random.Generator) -> Dissection:
+    """Oracle for sample_boltzmann: grow unconditioned trees until one has
+    exactly ``n_leaves`` leaves.  Slow (roughly n_leaves**2.9), exact."""
+    # a tree without unary vertices and n leaves has at most 2n-1 vertices
+    row = 2 * n_leaves - 1
+    batch = 256
+    while True:
+        xi = law.sample(batch * row, rng).reshape(batch, row)
+        walk = np.cumsum(xi - 1, axis=1)
+        hit = walk == -1
+        first = np.argmax(hit, axis=1)
+        zeros = np.cumsum(xi == 0, axis=1)
+        ok = hit.any(axis=1) & (zeros[np.arange(batch), first] == n_leaves)
+        if ok.any():
+            r = int(np.argmax(ok))
+            return from_dual(PlaneTree(xi[r, : first[r] + 1]))
+        batch = min(2 * batch, 8192)
+
+
+def _no_unary_law(weights) -> OffspringLaw:
+    """Critical law with mu_k proportional to weights[k-2] for k >= 2."""
+    w = np.asarray(weights, dtype=float)
+    scale = 1.0 / float(np.dot(np.arange(2, w.size + 2), w))
+    return OffspringLaw.from_probabilities(
+        np.concatenate([[1.0 - scale * w.sum(), 0.0], scale * w])
+    )
+
+
+def _reachable(law: OffspringLaw, n_leaves: int) -> bool:
+    """Some tree has n_leaves leaves iff n_leaves - 1 is a sum of (k - 1)
+    over degrees k >= 2 of the law."""
+    ups = [k - 1 for k in range(2, law.probabilities.size) if law.pmf(k) > 0]
+    ok = np.zeros(n_leaves, dtype=bool)
+    ok[0] = True
+    for s in range(1, n_leaves):
+        ok[s] = any(z <= s and ok[s - z] for z in ups)
+    return bool(ok[n_leaves - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any),
+    n_leaves=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_boltzmann_property_on_finite_laws(weights, n_leaves, seed):
+    law = _no_unary_law(weights)
+    rng = np.random.default_rng(seed)
+    if not _reachable(law, n_leaves):
+        with pytest.raises(ValueError, match="unattainable"):
+            sample_boltzmann(law, n_leaves, rng)
+        return
+    d = sample_boltzmann(law, n_leaves, rng)
+    tree = dual_tree(d)
+    counts = tree.children_counts
+    assert tree_stats(tree).leaf_count == n_leaves
+    assert not np.any(counts == 1)
+    assert np.all(law.pmf(counts) > 0)
+    assert from_dual(tree) == d
+
+
+def _brute_block_pmf(mu: np.ndarray, s_max: int) -> np.ndarray:
+    """Sum mu_0 * prod mu_{z+1} over every composition z of each total s."""
+    out = np.zeros(s_max + 1)
+    out[0] = mu[0]
+    for s in range(1, s_max + 1):
+        for r in range(s):
+            for cuts in itertools.combinations(range(1, s), r):
+                parts = np.diff([0, *cuts, s])
+                out[s] += mu[0] * np.prod(mu[parts + 1])
+    return out
+
+
+@pytest.mark.parametrize("law", [
+    stable_offspring(1.5, variant="no-unary"),
+    stable_offspring(1.1, variant="no-unary"),
+    _no_unary_law([0.3, 0.0, 0.5, 0.2]),
+], ids=["stable-1.5", "stable-1.1", "finite"])
+def test_block_pmf_matches_brute_force(law):
+    mu = law.pmf(np.arange(14))
+    np.testing.assert_allclose(_block_pmf(mu), _brute_block_pmf(mu, 12),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("law", [
+    stable_offspring(1.5, variant="no-unary"),
+    OffspringLaw.from_probabilities([0.5, 0.0, 0.5]),
+], ids=["stable-1.5", "binary"])
+def test_boltzmann_matches_enumerated_law(law, no_unary_by_leaves, rng_factory):
+    rng = rng_factory(45)
+    draws = 2000
+    for k in range(2, 8):
+        trees = no_unary_by_leaves[k]
+        weight = np.array([np.prod(law.pmf(t.children_counts)) for t in trees])
+        index = {t.children_counts.tobytes(): i for i, t in enumerate(trees)}
+        seen = np.zeros(len(trees))
+        for _ in range(draws):
+            seen[index[dual_tree(sample_boltzmann(law, k, rng)).children_counts.tobytes()]] += 1
+        assert not np.any(seen[weight == 0.0])
+        expected = draws * weight / weight.sum()
+        # pool the cells too light for the chi-square approximation
+        light = expected < 5.0
+        obs = np.append(seen[~light], seen[light].sum())
+        exp = np.append(expected[~light], expected[light].sum())
+        keep = exp > 0
+        if keep.sum() < 2:
+            assert seen[weight > 0].sum() == draws
+            continue
+        p = chisquare(obs[keep], exp[keep]).pvalue
+        assert p > 0.001, (k, p)
+
+
+def test_boltzmann_agrees_with_rejection_oracle(rng_factory):
+    # beyond the enumerated sizes: chord counts and dual heights at 12 leaves
+    law = stable_offspring(1.5, variant="no-unary")
+    rng = rng_factory(46)
+    draws = 2000
+    samples = {"exact": [], "oracle": []}
+    for _ in range(draws):
+        for name, fn in (("exact", sample_boltzmann), ("oracle", rejection_boltzmann)):
+            d = fn(law, 12, rng)
+            samples[name].append((d.chord_count, tree_stats(dual_tree(d)).height))
+    features = {name: np.array(rows) for name, rows in samples.items()}
+    for f in (0, 1):
+        top = max(v[:, f].max() for v in features.values()) + 1
+        table = np.array([np.bincount(v[:, f], minlength=top)
+                          for v in features.values()])
+        # pool sparse columns into their neighbours so every cell is usable
+        cols, acc = [], np.zeros(2)
+        for col in table.T:
+            acc = acc + col
+            if acc.min() >= 10:
+                cols.append(acc)
+                acc = np.zeros(2)
+        cols[-1] = cols[-1] + acc
+        p = chi2_contingency(np.array(cols).T).pvalue
+        assert p > 0.001, (f, p)
+
+
+def test_unreachable_leaf_count_fails_fast(rng_factory):
+    law = OffspringLaw.from_probabilities([2 / 3, 0.0, 0.0, 1 / 3])
+    rng = rng_factory(47)
+    assert dual_tree(sample_boltzmann(law, 5, rng)).size == 7
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="unattainable"):
+        sample_boltzmann(law, 4, rng)
+    assert time.perf_counter() - t0 < 1.0
