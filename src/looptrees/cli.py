@@ -335,11 +335,16 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "sample":
         return _cmd_sample(args)
     if args.command == "experiment":
-        return _cmd_experiment(args)
+        try:
+            return _cmd_experiment(args)
+        except experiments.ConfigError as exc:
+            # only dimension raises it, when --replicates gives too few centers
+            parser.error(f"argument --replicates: {exc}")
     return _cmd_layout(args)
 
 

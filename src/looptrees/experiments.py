@@ -26,10 +26,11 @@ from .gw_tree import (
     tree_stats,
 )
 from .looptree import build_loop, build_loop_prime
-from .metric_analysis import ball_volume_profile, dimension_estimate
+from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
 __all__ = [
+    "ConfigError",
     "stream",
     "laplace_check",
     "max_jump_experiment",
@@ -38,6 +39,10 @@ __all__ = [
     "interpolation_crt",
     "gh_sandwich",
 ]
+
+
+class ConfigError(ValueError):
+    """Arguments an experiment cannot run with, raised before any sampling."""
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -146,6 +151,12 @@ def dimension_experiment(alpha: float = 1.5, n: int = 10**6,
                          window=None, seed: int = 0,
                          tolerance: float = 0.15) -> dict:
     """Volume-growth slope of big looptrees, pooled over many centers."""
+    if trees * centers_per_tree < MIN_CENTERS:
+        raise ConfigError(
+            f"a pooled fit needs at least {MIN_CENTERS} centers, but {trees} "
+            f"trees with {centers_per_tree} centers each give "
+            f"{trees * centers_per_tree}"
+        )
     law = stable_offspring(alpha)
     if window is None:
         window = default_window(alpha, n)
@@ -283,7 +294,8 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
                 max_leaves: int = 300, seed: int = 0) -> dict:
     """Height bound for dissections against their dual looptrees, plus the
     Loop/Loop' corner correspondence on the same trees."""
-    law = stable_offspring(alpha, variant="no-unary")
+    # sample_boltzmann reads mu only on [0, n_leaves]
+    law = stable_offspring(alpha, variant="no-unary", cutoff=max_leaves + 1)
 
     def one(i: int):
         rng = stream(seed, i)

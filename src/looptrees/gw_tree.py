@@ -2,10 +2,9 @@
 
 A plane tree is stored as its DFS sequence of children counts; the equivalent
 Lukasiewicz walk (steps = count - 1) is the object every distance formula
-works on.  Conditioned sampling draws i.i.d. step vectors until the total is
-right and then applies the cycle shift, or, for large sizes, samples the
-conditioned step vector directly by dyadic splitting of exact convolution
-tables (see _bridge).
+works on.  Conditioned sampling draws the step vector directly, by dyadic
+splitting of convolution tables of the offspring law (see _bridge), and then
+applies the cycle shift.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
+
+from ._bridge import sample_conditioned_steps
 
 __all__ = [
     "OffspringLaw",
@@ -374,52 +375,21 @@ def _cycle_shift(steps: np.ndarray) -> np.ndarray:
     return np.roll(steps, -(m + 1))
 
 
-def _rejection_sample(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. offspring vectors until one sums to n-1; cycle-shift it."""
-    if law.tail_constant is not None:
-        scale = law.scaling_constant(n)
-    else:
-        scale = float(n)  # no tail info: generous fallback
-    cap = 10_000 * math.ceil(scale)
-    batch = int(min(max(16, 2.0 * scale), max(16, 4_000_000 // n)))
-    drawn = 0
-    while drawn < cap:
-        rows = min(batch, cap - drawn)
-        xi = law.sample(rows * n, rng).reshape(rows, n)
-        hits = np.flatnonzero(xi.sum(axis=1) == n - 1)
-        drawn += rows
-        if hits.size:
-            return _cycle_shift(xi[hits[0]] - 1)
-    raise RuntimeError(
-        f"no step vector with total {n - 1} in {cap} attempts; "
-        f"size {n} may be unattainable for this offspring law"
-    )
-
-
-def sample_conditioned_tree(law: OffspringLaw, n: int, rng: np.random.Generator,
-                            method: str = "auto") -> PlaneTree:
+def sample_conditioned_tree(law: OffspringLaw, n: int,
+                            rng: np.random.Generator) -> PlaneTree:
     """Tree of the branching process conditioned to have exactly n vertices.
 
-    ``method`` is "rejection" (i.i.d. proposals plus cycle shift), "bridge"
-    (direct conditioned step vector via dyadic convolution tables, same law,
-    much faster for large n), or "auto" (rejection up to 4096, bridge above).
+    The n children counts come from the dyadic bridge (i.i.d. offspring
+    conditioned to sum to n-1, see _bridge), and the cycle lemma rotates
+    them into the unique valid walk.  Raises ValueError when no tree of this
+    law has n vertices.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return PlaneTree(np.zeros(1, dtype=np.int64))
-    if method == "auto":
-        method = "rejection" if n <= 4096 else "bridge"
-    if method == "rejection":
-        steps = _rejection_sample(law, n, rng)
-    elif method == "bridge":
-        from ._bridge import sample_conditioned_steps
-
-        xi = sample_conditioned_steps(law, n, rng)
-        steps = _cycle_shift(xi - 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return decode_tree(LukasiewiczPath(steps))
+    xi = sample_conditioned_steps(law, n, rng)
+    return decode_tree(LukasiewiczPath(_cycle_shift(xi - 1)))
 
 
 def descent(path: LukasiewiczPath, j: int):

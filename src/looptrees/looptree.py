@@ -72,10 +72,6 @@ class LoopGraph:
             self._adjacency = mat
         return self._adjacency
 
-    def neighbors(self, v: int) -> np.ndarray:
-        adj = self.adjacency()
-        return adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
-
     def distances(self, sources=None) -> np.ndarray:
         """BFS distances from each source (all vertices when omitted)."""
         adj = self.adjacency()

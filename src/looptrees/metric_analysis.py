@@ -4,8 +4,6 @@ explicit correspondences, reference spaces, and volume-growth dimension fits.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
@@ -22,6 +20,9 @@ __all__ = [
     "ball_volume_profile",
     "dimension_estimate",
 ]
+
+# fewest ball profiles a pooled dimension fit accepts
+MIN_CENTERS = 10
 
 
 class FiniteMetric:
@@ -225,9 +226,10 @@ def dimension_estimate(profiles, window) -> tuple[float, float]:
     uses every point with radius inside [window[0], window[1]] and a
     positive count.  Returns (slope, standard error).
     """
-    if len(profiles) < 10:
+    if len(profiles) < MIN_CENTERS:
         raise ValueError(
-            f"need at least 10 centers for a pooled fit, got {len(profiles)}"
+            f"need at least {MIN_CENTERS} centers for a pooled fit, "
+            f"got {len(profiles)}"
         )
     r_min, r_max = window
     if not (0 < r_min < r_max):
@@ -250,14 +252,3 @@ def dimension_estimate(profiles, window) -> tuple[float, float]:
     cov = sigma2 * np.linalg.inv(design.T @ design)
     return float(coef[1]), float(np.sqrt(cov[1, 1]))
 
-
-def fit_report(slope: float, stderr: float, window, centers: int) -> str:
-    return json.dumps(
-        {
-            "slope": slope,
-            "stderr": stderr,
-            "window": list(window),
-            "centers": centers,
-        },
-        sort_keys=True,
-    )

@@ -159,6 +159,7 @@ def test_reports_are_strict_json(tmp_path):
     ("sample", "tree", "--alpha", "2.5"),
     ("sample", "looptree", "--alpha", "one"),
     ("experiment", "dimension", "--replicates", "0"),
+    ("experiment", "dimension", "--replicates", "2"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from looptrees.gw_tree import (
     LukasiewiczPath,
     OffspringLaw,
     PlaneTree,
+    _cycle_shift,
     decode_tree,
     descent,
     encode_tree,
@@ -274,19 +278,73 @@ def test_sample_rejects_bad_size():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
         sample_conditioned_tree(law, 0, rng)
-    with pytest.raises(ValueError):
-        sample_conditioned_tree(law, 5, rng, method="sorcery")
 
 
-def test_unattainable_size_names_the_cap():
-    # the no-unary family cannot make a 2-vertex tree; rejection must give up
-    # with the attempt cap in the message rather than loop forever
+def test_unattainable_size_raises_value_error():
+    # the no-unary family cannot make a 2-vertex tree
     law = stable_offspring(1.5, "no-unary")
     rng = np.random.default_rng(4)
-    with pytest.raises(RuntimeError, match="attempts"):
-        sample_conditioned_tree(law, 2, rng, method="rejection")
-    with pytest.raises(ValueError):
-        sample_conditioned_tree(law, 2, rng, method="bridge")
+    with pytest.raises(ValueError, match="unattainable"):
+        sample_conditioned_tree(law, 2, rng)
+
+
+def rejection_conditioned(law: OffspringLaw, n: int,
+                          rng: np.random.Generator) -> PlaneTree:
+    """Oracle for sample_conditioned_tree: draw i.i.d. offspring vectors
+    until one sums to n-1, then cycle-shift it.  Slow for large n, exact."""
+    if law.tail_constant is not None:
+        scale = law.scaling_constant(n)
+    else:
+        scale = float(n)  # no tail info: generous fallback
+    cap = 10_000 * math.ceil(scale)
+    batch = int(min(max(16, 2.0 * scale), max(16, 4_000_000 // n)))
+    drawn = 0
+    while drawn < cap:
+        rows = min(batch, cap - drawn)
+        xi = law.sample(rows * n, rng).reshape(rows, n)
+        hits = np.flatnonzero(xi.sum(axis=1) == n - 1)
+        drawn += rows
+        if hits.size:
+            return decode_tree(LukasiewiczPath(_cycle_shift(xi[hits[0]] - 1)))
+    raise RuntimeError(f"no step vector with total {n - 1} in {cap} attempts")
+
+
+def _critical_law(weights) -> OffspringLaw:
+    """Critical law with mu_k proportional to weights[k-1] for k >= 1."""
+    w = np.asarray(weights, dtype=float)
+    scale = 1.0 / float(np.dot(np.arange(1, w.size + 1), w))
+    mu0 = max(0.0, 1.0 - scale * w.sum())
+    return OffspringLaw.from_probabilities(np.concatenate([[mu0], scale * w]))
+
+
+def _size_attainable(support: list[int], n: int) -> bool:
+    """Some tree has n vertices iff n degrees from the support sum to n - 1
+    (the cycle lemma turns any such vector into exactly one tree)."""
+    totals = {0}
+    for _ in range(n):
+        totals = {t + k for t in totals for k in support if t + k <= n - 1}
+    return n - 1 in totals
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(any),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditioned_property_on_finite_laws(weights, n, seed):
+    law = _critical_law(weights)
+    support = [k for k in range(law.probabilities.size) if law.pmf(k) > 0]
+    rng = np.random.default_rng(seed)
+    if not _size_attainable(support, n):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="unattainable"):
+            sample_conditioned_tree(law, n, rng)
+        assert time.perf_counter() - t0 < 1.0
+        return
+    tree = sample_conditioned_tree(law, n, rng)
+    assert tree.size == n
+    assert set(tree.children_counts.tolist()) <= set(support)
 
 
 def test_binary_law_uniform_on_five_vertices(rng_factory):
@@ -307,7 +365,8 @@ def test_binary_law_uniform_on_five_vertices(rng_factory):
 
 
 def test_conditioned_law_exact_at_six_vertices(small_trees, rng_factory):
-    # both sampling routes against the exact weighted enumeration at n=6
+    # the sampler and the rejection oracle against the exact weighted
+    # enumeration at n=6
     law = stable_offspring(1.5)
     trees6 = [t for t in small_trees if t.size == 6]
     assert len(trees6) == 42
@@ -321,11 +380,11 @@ def test_conditioned_law_exact_at_six_vertices(small_trees, rng_factory):
     exact = {c: w / z for c, w in weights.items()}
 
     reps = 20_000
-    for lane, method in enumerate(("rejection", "bridge")):
+    for lane, sampler in enumerate((rejection_conditioned, sample_conditioned_tree)):
         rng = rng_factory(10 + lane)
         seen = {}
         for _ in range(reps):
-            tr = sample_conditioned_tree(law, 6, rng, method=method)
+            tr = sampler(law, 6, rng)
             key = tuple(tr.children_counts.tolist())
             seen[key] = seen.get(key, 0) + 1
         assert set(seen) <= set(exact)
@@ -334,19 +393,19 @@ def test_conditioned_law_exact_at_six_vertices(small_trees, rng_factory):
             e = reps * p
             chi2 += (seen.get(c, 0) - e) ** 2 / e
         # df = 41: mean 41, sd about 9; stay below a 5-sigma excursion
-        assert chi2 < 95.0, (method, chi2)
+        assert chi2 < 95.0, (sampler.__name__, chi2)
 
 
 def test_bridge_and_rejection_heights_agree(rng_factory):
-    # same height law from both methods at a size the bridge normally owns
+    # same height law from the sampler and the rejection oracle
     law = stable_offspring(1.5)
     rng = rng_factory(4)
     h_rej = [
-        tree_stats(sample_conditioned_tree(law, 64, rng, method="rejection")).height
+        tree_stats(rejection_conditioned(law, 64, rng)).height
         for _ in range(400)
     ]
     h_bri = [
-        tree_stats(sample_conditioned_tree(law, 64, rng, method="bridge")).height
+        tree_stats(sample_conditioned_tree(law, 64, rng)).height
         for _ in range(400)
     ]
     from scipy import stats as sps

@@ -24,7 +24,6 @@ from looptrees.metric_analysis import (
     circle_metric,
     crt_comparator,
     dimension_estimate,
-    fit_report,
     gh_upper_bound,
     tree_metric,
 )
@@ -251,5 +250,3 @@ def test_dimension_estimate_validation():
         dimension_estimate([prof] * 5, (1.0, 20.0))
     with pytest.raises(ValueError, match="few"):
         dimension_estimate([prof] * 10, (6.0, 6.5))
-    rep = fit_report(1.5, 0.02, (1.0, 20.0), 10)
-    assert "slope" in rep
