@@ -36,6 +36,7 @@ from .looptree import (
     LoopGraph,
     build_loop,
     build_loop_prime,
+    loop_distances,
     loop_prime_distance,
 )
 from .metric_analysis import (
@@ -82,6 +83,7 @@ __all__ = [
     "LoopGraph",
     "build_loop",
     "build_loop_prime",
+    "loop_distances",
     "loop_prime_distance",
     "FiniteMetric",
     "ball_volume_profile",

@@ -267,6 +267,11 @@ def _experiment_report(args: argparse.Namespace) -> dict:
     raise ValueError(f"unknown experiment {name!r}")
 
 
+# the option behind each experiment keyword that a ConfigError can name
+_FLAGS = {"n": "--n", "window": "--window", "trees": "--replicates",
+          "paths": "--replicates"}
+
+
 def _plot_rows(report: dict) -> list[str]:
     """Flatten whatever per-replicate data the report holds into CSV rows."""
     if "rows" in report:
@@ -343,8 +348,7 @@ def main(argv=None) -> int:
         try:
             return _cmd_experiment(args)
         except experiments.ConfigError as exc:
-            # only dimension raises it, when --replicates gives too few centers
-            parser.error(f"argument --replicates: {exc}")
+            parser.error(f"argument {_FLAGS.get(exc.param, exc.param)}: {exc}")
     return _cmd_layout(args)
 
 

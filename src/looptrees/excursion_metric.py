@@ -184,10 +184,18 @@ def looptree_distance(path: JumpPath, s: int, t: int) -> float:
     return sum_s + sum_t + _gap(abs(x_t - x_s), jump[meet])
 
 
-def distance_from_root(path: JumpPath, t: int) -> float:
+def distance_from_root(path: JumpPath, t):
     """Distance to time 0 through the jump-fraction form: each ancestor
     contributes its jump times min(u, 1-u), u being the relative position
-    of the descent inside that jump."""
+    of the descent inside that jump.
+
+    ``t`` is one time index or an integer array of them.  An array climbs
+    all its times in lockstep, one ancestor per round, adding the same
+    terms in the same order as the single-time climb, so every entry equals
+    the single-time result bit for bit.
+    """
+    if np.ndim(t):
+        return _root_distances(path, np.asarray(t))
     _validate_index(path, t)
     if t == 0:
         return 0.0
@@ -203,6 +211,31 @@ def distance_from_root(path: JumpPath, t: int) -> float:
             total += jump[cur] * min(u, 1.0 - u)
         running = min(running, v[cur])
         cur = int(parent[cur])
+    return total
+
+
+def _root_distances(path: JumpPath, times: np.ndarray) -> np.ndarray:
+    """distance_from_root for an integer array of times, in lockstep."""
+    if times.dtype.kind not in "iu":
+        raise TypeError(f"time indices must be integers, got {times.dtype}")
+    bad = (times < 0) | (times >= path.n)
+    if bad.any():
+        _validate_index(path, int(times[bad].flat[0]))
+    # time 0 carries no jump, so a time that reached it may stay there
+    up = path._ensure_parent().copy()
+    up[0] = 0
+    v, lim, jump = path.values, path.left_limits, path.jumps
+    cur = times.astype(np.int64)
+    total = np.zeros(cur.shape)
+    running = np.full(cur.shape, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while cur.any():
+            jc, vc = jump[cur], v[cur]
+            u = (np.minimum(vc, running) - lim[cur]) / jc
+            # adding +0.0 where there is no jump leaves the sum unchanged
+            total += np.where(jc > 0.0, jc * np.minimum(u, 1.0 - u), 0.0)
+            running = np.minimum(running, vc)
+            cur = up[cur]
     return total
 
 

@@ -25,7 +25,7 @@ from .gw_tree import (
     stable_offspring,
     tree_stats,
 )
-from .looptree import build_loop, build_loop_prime
+from .looptree import build_loop, build_loop_prime, loop_distances
 from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
@@ -42,7 +42,14 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Arguments an experiment cannot run with, raised before any sampling."""
+    """Arguments an experiment cannot run with, raised before any sampling.
+
+    ``param`` names the keyword argument at fault.
+    """
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -59,12 +66,18 @@ def _pool_size() -> int:
 
 
 def _map_replicates(fn, count: int):
-    """Ordered results of fn(replicate_index), possibly in parallel."""
+    """Ordered results of fn(replicate_index), possibly in parallel.
+
+    With several workers, replicate 0 runs first in the calling thread, so
+    that it alone fills the shared caches (the bridge tables) the others
+    then read.
+    """
     workers = _pool_size()
-    if workers == 1:
+    if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    first = fn(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        return [first, *pool.map(fn, range(1, count))]
 
 
 def _stderr(vals: np.ndarray):
@@ -115,8 +128,6 @@ def max_jump_experiment(alpha: float = 1.5, n: int = 10**5,
     """Mean largest rescaled jump against the analytic target."""
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
-    # warm the conditioned-sampling tables once before any fan-out
-    sample_conditioned_tree(law, n, stream(seed, 0))
 
     def one(i: int) -> float:
         tree = sample_conditioned_tree(law, n, stream(seed, i))
@@ -153,18 +164,29 @@ def dimension_experiment(alpha: float = 1.5, n: int = 10**6,
     """Volume-growth slope of big looptrees, pooled over many centers."""
     if trees * centers_per_tree < MIN_CENTERS:
         raise ConfigError(
+            "trees",
             f"a pooled fit needs at least {MIN_CENTERS} centers, but {trees} "
             f"trees with {centers_per_tree} centers each give "
             f"{trees * centers_per_tree}"
         )
-    law = stable_offspring(alpha)
+    # a default window that cannot be fitted is the fault of n
     if window is None:
-        window = default_window(alpha, n)
+        culprit, window = "n", default_window(alpha, n)
+        where = f"the default fit window for n = {n}"
+    else:
+        culprit, where = "window", "the fit window"
     r_lo, r_hi = window
+    if not (0 < r_lo < r_hi < math.inf):
+        raise ConfigError(culprit, f"{where}, [{r_lo:g}, {r_hi:g}], is not "
+                          "an interval 0 < rmin < rmax < inf")
     radii = np.unique(
         np.rint(np.geomspace(max(1.0, r_lo / 2.0), r_hi * 1.5, 30))
     ).astype(np.int64)
-    sample_conditioned_tree(law, n, stream(seed, 0))
+    inside = int(np.count_nonzero((radii >= r_lo) & (radii <= r_hi)))
+    if inside < 2:
+        raise ConfigError(culprit, f"{where}, [{r_lo:g}, {r_hi:g}], holds "
+                          f"{inside} of the sampled radii; a fit needs 2")
+    law = stable_offspring(alpha)
 
     def one(i: int):
         rng = stream(seed, i)
@@ -200,17 +222,23 @@ def circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
 
     Anchor vertices at m equally spaced walk positions are paired with the
     m circle points; the anchor distortion plus both covering radii bound
-    the full-correspondence distortion.
+    the full-correspondence distortion.  Distances between anchors come
+    from the walk (loop_distances); the graph's covering radius comes from
+    one search started at all anchors at once.
     """
     n = tree.size
     graph = build_loop(tree)
-    v = graph.vertex_count
-    m = min(anchors, v)
+    m = min(anchors, graph.vertex_count)
     ids = np.rint(np.arange(m) * (n - 1) / m).astype(np.int64)
     ids = np.clip(ids, 1, n - 1) - 1  # corner of vertex k has graph id k-1
-    d = dijkstra(graph.adjacency(), unweighted=True, indices=ids)
-    eps_graph = float(d.min(axis=0).max())
-    da = d[:, ids] / b
+    nearest = dijkstra(graph.adjacency(), unweighted=True, indices=ids,
+                       min_only=True)
+    eps_graph = float(nearest.max())
+    path = encode_tree(tree)
+    corner = ids + 1
+    # the root's cycle in the corner graph has one slot per child
+    da = loop_distances(path, corner[:, None], corner[None, :],
+                        root_cycle=int(path.steps[0]) + 1) / b
     k = np.arange(m)
     gap = np.abs(k[:, None] - k[None, :])
     dc = np.minimum(gap, m - gap) / m
@@ -227,7 +255,6 @@ def interpolation_circle(alpha: float = 1.05, n: int = 10**5,
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
     limit = replicates if gh_paths is None else gh_paths
-    sample_conditioned_tree(law, n, stream(seed, 0))
 
     def one(i: int):
         tree = sample_conditioned_tree(law, n, stream(seed, i))
@@ -258,22 +285,30 @@ def interpolation_crt(alpha: float = 1.95, n: int = 10**5,
                       seed: int = 0, tolerance: float = 0.05) -> dict:
     """Near alpha = 2 loops degenerate and distances halve: the distance
     from the root to a uniform time is about half the walk value there."""
+    if n < 3:
+        raise ConfigError(
+            "n", f"needs n >= 3, so that some time in 1..n-1 can have a "
+            f"positive walk value, got {n}"
+        )
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
-    sample_conditioned_tree(law, n, stream(seed, 0))
 
     def one(i: int) -> float:
         rng = stream(seed, i)
         tree = sample_conditioned_tree(law, n, rng)
         jp = rescale(encode_tree(tree), b)
-        ratios = []
-        while len(ratios) < draws:
+        if not (jp.values[1:n] > 0).any():
+            raise ValueError(
+                f"path {i} (seed {seed}) has no time in 1..{n - 1} with a "
+                "positive walk value: the tree is a chain of unary vertices"
+            )
+        times = []
+        while len(times) < draws:
             t = int(rng.integers(1, n))
-            xt = jp.values[t]
-            if xt <= 0:
-                continue
-            ratios.append(distance_from_root(jp, t) / xt)
-        return float(np.mean(ratios))
+            if jp.values[t] > 0:
+                times.append(t)
+        times = np.array(times, dtype=np.int64)
+        return float(np.mean(distance_from_root(jp, times) / jp.values[times]))
 
     means = np.array(_map_replicates(one, paths))
     grand = float(means.mean())

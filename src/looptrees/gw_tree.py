@@ -301,7 +301,7 @@ class LukasiewiczPath:
 
     def _ensure_index(self) -> "_TreeIndex":
         if self._index is None:
-            self._index = _TreeIndex(self.values)
+            self._index = _TreeIndex(self.steps, self.values)
         return self._index
 
     def __eq__(self, other) -> bool:
@@ -327,29 +327,47 @@ class LukasiewiczPath:
 class _TreeIndex:
     """Parent and depth arrays for the vertices u_0..u_{n-1} of a walk.
 
-    parent[k] is the previous index whose value is <= every value on the way,
-    found with the usual monotone stack; depth[0] = 0.
+    parent[k] is the latest j < k with W_j <= W_k, and -1 for the root.  A
+    vertex entered by a step >= 0 is the first child of its predecessor.  A
+    vertex entered by a -1 step fills a level h, and its parent is the latest
+    vertex whose jump opened h (crossed from <= h to > h).  At every level
+    the opens and the fills alternate in time, so once both are sorted by
+    (level, time) the i-th fill belongs to the i-th open.  depth is computed
+    on first use, by pointer jumping along parent.
     """
 
-    __slots__ = ("parent", "depth")
+    __slots__ = ("parent", "_depth")
 
-    def __init__(self, values: np.ndarray):
-        n = values.size - 1
-        w = values[:n].tolist()
-        parent = [0] * n
-        depth = [0] * n
-        parent[0] = -1
-        stack = [0]
-        for k in range(1, n):
-            wk = w[k]
-            while w[stack[-1]] > wk:
-                stack.pop()
-            p = stack[-1]
-            parent[k] = p
-            depth[k] = depth[p] + 1
-            stack.append(k)
-        self.parent = np.array(parent, dtype=np.int64)
-        self.depth = np.array(depth, dtype=np.int64)
+    def __init__(self, steps: np.ndarray, values: np.ndarray):
+        n = steps.size
+        parent = np.arange(-1, n - 1)
+        fill = np.flatnonzero(steps[:-1] < 0) + 1
+        if fill.size:
+            up = np.flatnonzero(steps > 0)
+            width = steps[up]
+            opener = np.repeat(up, width)
+            # vertex j opens the levels W_j .. W_{j+1} - 1
+            level = np.repeat(values[up] - (np.cumsum(width) - width), width)
+            level += np.arange(opener.size)
+            parent[fill[np.argsort(values[fill] * n + fill)]] = \
+                opener[np.argsort(level * n + opener)]
+        self.parent = parent
+        self._depth = None
+
+    @property
+    def depth(self) -> np.ndarray:
+        if self._depth is None:
+            # invariant: depth[k] edges separate k from anc[k]; each round
+            # doubles the reach, until every anc is the root
+            anc = self.parent.copy()
+            anc[0] = 0
+            depth = np.ones(anc.size, dtype=np.int64)
+            depth[0] = 0
+            while anc.any():
+                depth += depth[anc]
+                anc = anc[anc]
+            self._depth = depth
+        return self._depth
 
 
 def encode_tree(tree: PlaneTree) -> LukasiewiczPath:

@@ -8,9 +8,11 @@ In the second (build_loop_prime) the graph keeps all tree vertices and joins
 consecutive siblings, each parent to its first child, and each parent to its
 last child; a unary vertex is joined to its child by two parallel edges.
 
-Distances in the second graph also come in closed form from the Lukasiewicz
-walk, one loop contribution per common ancestor, which loop_prime_distance
-evaluates without building the graph.
+Distances in both graphs also come in closed form from the Lukasiewicz
+walk, one loop contribution per common ancestor, so neither graph has to be
+built to measure them: loop_prime_distance climbs one pair of the second
+graph, and loop_distances climbs whole arrays of pairs in lockstep, in
+either graph.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from scipy.sparse.csgraph import dijkstra
 
 from .gw_tree import LukasiewiczPath, PlaneTree, encode_tree
 
-__all__ = ["LoopGraph", "build_loop", "build_loop_prime", "loop_prime_distance"]
+__all__ = [
+    "LoopGraph",
+    "build_loop",
+    "build_loop_prime",
+    "loop_prime_distance",
+    "loop_distances",
+]
 
 
 class LoopGraph:
@@ -255,3 +263,58 @@ def loop_prime_distance(path: LukasiewiczPath, i: int, j: int) -> int:
     if path.values[i] == path.values[i:j + 1].min():
         return _ancestor_distance(path, i, j)
     return _junction_distance(path, i, j)
+
+
+def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,
+           stop: np.ndarray):
+    """Move every cur[k] up while its parent lies after stop[k], all in
+    lockstep; returns the vertices reached and the summed weight of the
+    vertices left behind."""
+    cur = cur.copy()
+    total = np.zeros(cur.size, dtype=weight.dtype)
+    live = np.flatnonzero(parent[cur] > stop)
+    while live.size:
+        c = cur[live]
+        total[live] += weight[c]
+        cur[live] = parent[c]
+        live = live[parent[cur[live]] > stop[live]]
+    return cur, total
+
+
+def loop_distances(path: LukasiewiczPath, i, j, root_cycle: int) -> np.ndarray:
+    """Exact loop-graph distances between the vertex arrays i and j
+    (broadcast against each other), from the walk and without a graph.
+
+    A vertex v > 0 sits at position W_v - W_p + 1 on the cycle of its parent
+    p, where position 0 is p's own slot, and a vertex with k children has a
+    cycle of k + 1 slots.  Only the root's cycle length is a convention, and
+    it is ``root_cycle``: k + 1 for the sibling-joined graph of
+    build_loop_prime, k for the corner graph of build_loop (whose vertex
+    v - 1 stands for tree vertex v; vertex 0 has no corner there).  Both
+    vertices climb to their most recent common ancestor, adding the gap from
+    position 0 on each cycle they cross, and the two branch positions add
+    their gap on the meeting cycle.  All pairs climb together, one parent
+    step per round.
+    """
+    n = path.n
+    a, b = np.broadcast_arrays(np.asarray(i, dtype=np.int64),
+                               np.asarray(j, dtype=np.int64))
+    shape = a.shape
+    lo = np.minimum(a, b).ravel()
+    hi = np.maximum(a, b).ravel()
+    if lo.size and (lo.min() < 0 or hi.max() >= n):
+        raise IndexError(f"vertex index out of range [0, {n})")
+    parent = path._ensure_index().parent
+    w = path.values
+    cycle = path.steps + 2
+    cycle[0] = root_cycle
+    pos = np.zeros(n, dtype=np.int64)
+    pos[1:] = w[1:n] - w[parent[1:]] + 1
+    step_up = np.minimum(pos, cycle[parent] - pos)  # gap from slot 0 to pos
+    c_hi, sum_hi = _climb(parent, step_up, hi, lo)
+    meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
+    c_lo, sum_lo = _climb(parent, step_up, lo, meet)
+    width = np.abs(pos[c_hi] - np.where(lo == meet, 0, pos[c_lo]))
+    out = sum_lo + sum_hi + np.minimum(width, cycle[meet] - width)
+    out[lo == hi] = 0
+    return out.reshape(shape)

@@ -160,6 +160,11 @@ def test_reports_are_strict_json(tmp_path):
     ("sample", "looptree", "--alpha", "one"),
     ("experiment", "dimension", "--replicates", "0"),
     ("experiment", "dimension", "--replicates", "2"),
+    ("experiment", "dimension", "--n", "500"),
+    ("experiment", "dimension", "--n", "600"),
+    ("experiment", "dimension", "--window", "5", "4"),
+    ("experiment", "interpolation-crt", "--n", "2"),
+    ("experiment", "interpolation-crt", "--n", "1"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -164,6 +164,39 @@ def test_distance_matches_brute_force_on_tree_walks(rng_factory):
                 assert abs(looptree_distance(p, s, t) - want) <= 1e-12 * max(1, want)
 
 
+def test_batched_root_distance_is_the_single_time_climb_bit_for_bit(rng_factory):
+    rng = rng_factory(36)
+    for _ in range(60):
+        p = random_jump_path(rng, int(rng.integers(2, 60)),
+                             float_steps=bool(rng.integers(0, 2)))
+        times = np.arange(p.n)
+        got = distance_from_root(p, times)
+        assert got.tolist() == [distance_from_root(p, int(t)) for t in times]
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        n = 20_000
+        p = rescale(encode_tree(sample_conditioned_tree(law, n, rng)),
+                    law.scaling_constant(n))
+        times = rng.integers(0, n, size=300)
+        got = distance_from_root(p, times)
+        assert got.tolist() == [distance_from_root(p, int(t)) for t in times]
+
+
+def test_root_distance_shapes_and_validation():
+    p = rescale(encode_tree(PlaneTree([2, 2, 0, 0, 0])), 1.0)
+    one = distance_from_root(p, 3)
+    assert isinstance(one, float)
+    assert one == pytest.approx(looptree_distance(p, 0, 3), rel=1e-12)
+    grid = distance_from_root(p, np.array([[0, 1], [2, 4]]))
+    assert grid.shape == (2, 2)
+    assert grid[1, 1] == distance_from_root(p, 4)
+    assert distance_from_root(p, np.array([], dtype=np.int64)).shape == (0,)
+    with pytest.raises(IndexError):
+        distance_from_root(p, np.array([1, 5]))
+    with pytest.raises(TypeError):
+        distance_from_root(p, np.array([1.0]))
+
+
 # ---- metric structure ----
 
 def test_pseudo_metric_and_root_formula(rng_factory):

@@ -2,20 +2,45 @@
 
 from __future__ import annotations
 
+import json
+import time
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from looptrees.experiments import (
+    ConfigError,
     circle_gap_bound,
     default_window,
     dimension_experiment,
     gh_sandwich,
+    interpolation_circle,
     interpolation_crt,
     laplace_check,
     max_jump_experiment,
     stream,
 )
-from looptrees.gw_tree import PlaneTree
+from looptrees.gw_tree import PlaneTree, sample_conditioned_tree, stable_offspring
+from looptrees.looptree import build_loop
+
+
+def bfs_circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
+    """Oracle: the same bound with every anchor distance and the covering
+    radius read off one breadth-first search per anchor."""
+    n = tree.size
+    graph = build_loop(tree)
+    m = min(anchors, graph.vertex_count)
+    ids = np.rint(np.arange(m) * (n - 1) / m).astype(np.int64)
+    ids = np.clip(ids, 1, n - 1) - 1
+    d = dijkstra(graph.adjacency(), unweighted=True, indices=ids)
+    eps_graph = float(d.min(axis=0).max())
+    da = d[:, ids] / b
+    k = np.arange(m)
+    gap = np.abs(k[:, None] - k[None, :])
+    dc = np.minimum(gap, m - gap) / m
+    dis = float(np.abs(da - dc).max())
+    return dis / 2.0 + eps_graph / b + 1.0 / (2.0 * m)
 
 
 def test_stream_is_deterministic_and_split():
@@ -24,6 +49,16 @@ def test_stream_is_deterministic_and_split():
     c = stream(5, 4).integers(0, 2**62, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_two_workers_give_the_single_worker_report(monkeypatch):
+    # replicate 0 runs first in the caller, the rest fan out
+    kw = dict(alpha=1.05, n=3000, replicates=5, gh_paths=3, seed=6)
+    monkeypatch.setenv("LOOPTREE_THREADS", "1")
+    one = interpolation_circle(**kw)
+    monkeypatch.setenv("LOOPTREE_THREADS", "2")
+    two = interpolation_circle(**kw)
+    assert json.dumps(one) == json.dumps(two)
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -82,6 +117,60 @@ def test_circle_gap_bound_is_loose_on_a_chain():
     tree = PlaneTree([1] * 200 + [0])
     bound = circle_gap_bound(tree, 200.0, anchors=64)
     assert bound > 0.2
+
+
+def test_circle_gap_bound_equals_bfs_oracle():
+    for counts in ([0], [1, 0], [2, 0, 0], [1, 1, 0]):
+        tree = PlaneTree(counts)
+        assert circle_gap_bound(tree, 1.0) == bfs_circle_gap_bound(tree, 1.0)
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for seed in range(2):
+            n = 1990 + seed
+            tree = sample_conditioned_tree(law, n, stream(seed, 7))
+            b = law.scaling_constant(n)
+            for anchors in (128, 37):
+                assert circle_gap_bound(tree, b, anchors) == \
+                    bfs_circle_gap_bound(tree, b, anchors)
+
+
+def test_interpolation_crt_rejects_tiny_n():
+    for n in (1, 2):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            interpolation_crt(n=n, paths=2, draws=5)
+        assert info.value.param == "n"
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_interpolation_crt_fails_on_a_path_with_no_positive_time():
+    # at n = 3 and alpha = 1.95 the unary chain [1, 1, 0] is the likely tree;
+    # seed 1 draws it for path 0, and its walk is 0 at both queryable times
+    tree = sample_conditioned_tree(stable_offspring(1.95), 3, stream(1, 0))
+    assert tree.children_counts.tolist() == [1, 1, 0]
+    with pytest.raises(ValueError, match="no time in 1..2 with a positive"):
+        interpolation_crt(n=3, paths=1, draws=5, seed=1)
+    tree = sample_conditioned_tree(stable_offspring(1.95), 3, stream(0, 0))
+    assert tree.children_counts.tolist() == [2, 0, 0]
+    rep = interpolation_crt(n=3, paths=1, draws=5, seed=0, tolerance=1.0)
+    # only t = 1 qualifies; it ends its own jump, which closes onto the root
+    assert rep["path_means"] == [0.0]
+
+
+@pytest.mark.parametrize("kw, param", [
+    (dict(n=500), "n"),                 # default window is empty
+    (dict(n=600), "n"),                 # default window holds one radius
+    (dict(n=2000, window=(5.0, 4.0)), "window"),
+    (dict(n=2000, window=(0.0, 9.0)), "window"),
+    (dict(n=2000, window=(10.0, 10.5)), "window"),
+    (dict(n=2000, trees=2), "trees"),
+])
+def test_dimension_rejects_unfittable_arguments_before_sampling(kw, param):
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError) as info:
+        dimension_experiment(alpha=1.5, **kw)
+    assert info.value.param == param
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_interpolation_crt_smoke():

@@ -45,6 +45,26 @@ tree_strategy = st.lists(
 ).map(tree_from_seeds)
 
 
+def stack_index(values: np.ndarray):
+    """Oracle genealogy: parent[k] is the previous index whose value is <=
+    every value on the way, found with the usual monotone stack."""
+    n = values.size - 1
+    w = values[:n].tolist()
+    parent = [0] * n
+    depth = [0] * n
+    parent[0] = -1
+    stack = [0]
+    for k in range(1, n):
+        wk = w[k]
+        while w[stack[-1]] > wk:
+            stack.pop()
+        p = stack[-1]
+        parent[k] = p
+        depth[k] = depth[p] + 1
+        stack.append(k)
+    return parent, depth
+
+
 # ---- law construction ----
 
 def test_stable_offspring_criticality_and_tail():
@@ -242,6 +262,36 @@ def test_parent_and_depth_against_stack_walk(rng_factory):
         assert idx.parent.tolist() == brute_parent(tree.children_counts.tolist())
         for v in range(1, n):
             assert idx.depth[v] == idx.depth[idx.parent[v]] + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    tree_strategy,
+    # all-unary chains, the deepest trees of their size
+    st.integers(min_value=1, max_value=200).map(
+        lambda n: PlaneTree([1] * (n - 1) + [0])),
+    # wide trees: jumps that open many levels at once
+    st.lists(st.integers(min_value=0, max_value=40), max_size=30)
+    .map(tree_from_seeds),
+))
+def test_genealogy_matches_stack_oracle(tree):
+    path = encode_tree(tree)
+    idx = path._ensure_index()
+    parent, depth = stack_index(path.values)
+    assert idx.parent.tolist() == parent
+    assert idx.depth.tolist() == depth
+
+
+def test_genealogy_matches_stack_oracle_on_sampled_trees(rng_factory):
+    rng = rng_factory(3)
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for n in (2, 3, 17, 300, 5000):
+            path = encode_tree(sample_conditioned_tree(law, n, rng))
+            idx = path._ensure_index()
+            parent, depth = stack_index(path.values)
+            assert idx.parent.tolist() == parent
+            assert idx.depth.tolist() == depth
 
 
 # ---- tree_stats ----

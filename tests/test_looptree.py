@@ -19,6 +19,7 @@ from looptrees.looptree import (
     _junction_distance,
     build_loop,
     build_loop_prime,
+    loop_distances,
     loop_prime_distance,
 )
 
@@ -176,6 +177,70 @@ def test_loop_loop_prime_corner_correspondence(small_trees, rng_factory):
         tree = sample_conditioned_tree(law, int(rng.integers(2, 120)), rng)
         worst = max(worst, distortion(tree))
     assert worst <= 4
+
+
+def _corner_kernel_matches_bfs(tree: PlaneTree) -> int:
+    # corner graph vertex v - 1 is tree vertex v; the root cycle has one
+    # slot per child
+    path = encode_tree(tree)
+    corner = np.arange(1, tree.size)
+    got = loop_distances(path, corner[:, None], corner[None, :],
+                         root_cycle=int(path.steps[0]) + 1)
+    want = build_loop(tree).distances()
+    assert np.array_equal(got, want), tree.children_counts.tolist()
+    return corner.size ** 2
+
+
+def test_corner_kernel_matches_bfs_on_every_pair(rng_factory):
+    pairs = 0
+    special = [
+        PlaneTree([1, 0]),                 # n = 2
+        PlaneTree([2, 0, 0]),              # n = 3, root cycle of two slots
+        PlaneTree([1, 1, 0]),              # n = 3, root with one child
+        PlaneTree([9] + [0] * 9),          # star
+        PlaneTree([1] * 30 + [0]),         # chain
+        PlaneTree([1, 4, 0, 2, 0, 0, 0, 0]),  # root with one child, below it a tree
+    ]
+    for tree in special:
+        pairs += _corner_kernel_matches_bfs(tree)
+    rng = rng_factory(24)
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for _ in range(40):
+            tree = sample_conditioned_tree(law, int(rng.integers(2, 150)), rng)
+            pairs += _corner_kernel_matches_bfs(tree)
+    assert pairs > 100_000
+
+
+def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
+    def check(tree):
+        path = encode_tree(tree)
+        v = np.arange(tree.size)
+        got = loop_distances(path, v[:, None], v[None, :],
+                             root_cycle=int(path.steps[0]) + 2)
+        assert np.array_equal(got, build_loop_prime(tree).distances())
+        return got
+
+    for tree in small_trees:
+        check(tree)
+    rng = rng_factory(25)
+    law = stable_offspring(1.5)
+    tree = sample_conditioned_tree(law, 200, rng)
+    got = check(tree)
+    path = encode_tree(tree)
+    for i, j in rng.integers(0, 200, size=(100, 2)):
+        assert got[i, j] == loop_prime_distance(path, int(i), int(j))
+
+
+def test_loop_distances_shapes_and_validation():
+    path = encode_tree(PlaneTree([2, 2, 0, 0, 0]))
+    assert loop_distances(path, 2, 4, root_cycle=3).shape == ()
+    assert loop_distances(path, [0, 1, 2], 4, root_cycle=3).tolist() == \
+        [loop_prime_distance(path, k, 4) for k in (0, 1, 2)]
+    with pytest.raises(IndexError):
+        loop_distances(path, [0, 5], 1, root_cycle=3)
+    with pytest.raises(IndexError):
+        loop_distances(path, -1, 1, root_cycle=3)
 
 
 def test_disconnected_graph_raises():
