@@ -262,6 +262,7 @@ def _experiment_report(args: argparse.Namespace) -> dict:
         return experiments.gh_sandwich(
             alpha=pick(args.alpha, 1.5),
             n_dissections=pick(args.replicates, 200),
+            max_leaves=pick(args.n, 300),
             seed=seed,
         )
     raise ValueError(f"unknown experiment {name!r}")
@@ -269,7 +270,7 @@ def _experiment_report(args: argparse.Namespace) -> dict:
 
 # the option behind each experiment keyword that a ConfigError can name
 _FLAGS = {"n": "--n", "window": "--window", "trees": "--replicates",
-          "paths": "--replicates"}
+          "paths": "--replicates", "max_leaves": "--n"}
 
 
 def _plot_rows(report: dict) -> list[str]:

@@ -18,8 +18,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._bridge import _bridge, _draw_in_segments, _sum_pmf_tables
-from .gw_tree import OffspringLaw, PlaneTree, _cycle_shift, tree_stats
-from .looptree import build_loop
+from .gw_tree import LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift
+from .looptree import loop_distances
 
 __all__ = [
     "Dissection",
@@ -327,24 +327,31 @@ def gh_gap_check(d: Dissection):
 
     Pairs every non-root dual-tree vertex's graph image with both endpoints
     of its polygon edge (its side for a leaf, its chord otherwise), computes
-    the distortion of that correspondence from exact BFS metrics, and tests
+    the distortion of that correspondence from exact metrics, and tests
     the resulting bound against the dual tree's height plus two.  Returns
     (bound_holds, distortion/2).
     """
+    return _dual_gap(d)[:2]
+
+
+def _dual_gap(d: Dissection):
+    """gh_gap_check's two results, then the dual tree's walk and its corner
+    matrix: the build_loop distances between the corners of tree vertices
+    1..n-1, taken from the walk."""
     counts, regions = _dual_with_regions(d)
-    tree = PlaneTree(counts)
+    path = LukasiewiczPath(counts - 1)
+    corner = np.arange(1, path.n)
+    loop_dist = loop_distances(path, corner[:, None], corner[None, :],
+                               root_cycle=int(counts[0]))
     n = d.n_sides
     poly_dist = d.graph_distances()
-    loop = build_loop(tree)
-    loop_dist = loop.distances()
     # endpoints in polygon labels; skip the root (its region is the root side)
     ends = np.array([(a % n, b % n) for a, b in regions[1:]], dtype=np.int64)
-    glue = np.arange(1, tree.size, dtype=np.int64) - 1
     px = np.concatenate([ends[:, 0], ends[:, 1]])
-    gx = np.concatenate([glue, glue])
+    gx = np.concatenate([corner, corner]) - 1
     dis = np.abs(
         poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]
     ).max()
-    height = tree_stats(tree).height
+    height = path._ensure_index().depth.max()
     observed = dis / 2.0
-    return observed <= height + 2, float(observed)
+    return observed <= height + 2, float(observed), path, loop_dist

@@ -120,31 +120,31 @@ def _validate_index(path: JumpPath, t: int) -> None:
         )
 
 
-def _climb(path: JumpPath, stop: int, t: int) -> float:
-    """Sum of loop gaps over the chain elements in (stop, t], assuming stop
-    is an ancestor of t."""
+def _branch(path: JumpPath, cur: int, stop: int):
+    """Climb from cur while it lies after stop: the summed loop gaps of the
+    chain elements left behind, the element reached, and the running
+    minimum of the values climbed through."""
     parent = path._ensure_parent()
     v, lim, jump = path.values, path.left_limits, path.jumps
     total = 0.0
     running = math.inf
-    cur = t
-    while cur != stop:
-        if cur < stop:
-            raise RuntimeError(f"index {stop} is not an ancestor of {t}")
+    while cur > stop:
         x = min(v[cur], running) - lim[cur]
         total += _gap(x, jump[cur])
         running = min(running, v[cur])
         cur = int(parent[cur])
-    return total
+    return total, cur, running
 
 
 def looptree_distance(path: JumpPath, s: int, t: int) -> float:
     """Loop pseudo-metric between time indices s and t.
 
-    Ancestor pairs take one gap inside each crossed jump plus the entry gap
-    at s; otherwise the two branches are climbed to the most recent common
-    ancestor, whose jump contributes the circular gap between the two
-    descent positions.
+    The t-branch climbs to its first chain element at or before s, which is
+    the most recent common ancestor (every chain element of t after s is not
+    an ancestor of s).  When that is s itself, the entry gap inside the jump
+    of s closes the sum; otherwise the s-branch climbs to the same ancestor,
+    whose jump contributes the circular gap between the two descent
+    positions.
     """
     _validate_index(path, s)
     _validate_index(path, t)
@@ -153,33 +153,11 @@ def looptree_distance(path: JumpPath, s: int, t: int) -> float:
     if s > t:
         s, t = t, s
     v, lim, jump = path.values, path.left_limits, path.jumps
-    window_min = float(v[s:t + 1].min())
-    if lim[s] <= window_min:
-        return _gap(window_min - lim[s], jump[s]) + _climb(path, s, t)
-
-    parent = path._ensure_parent()
-    # t-side: every chain element above s is strictly above the common
-    # ancestor (a chain element of t at or below s would be an ancestor of
-    # both), so the first one at or below s is the meeting point
-    sum_t = 0.0
-    running = math.inf
-    cur = t
-    while cur > s:
-        x = min(v[cur], running) - lim[cur]
-        sum_t += _gap(x, jump[cur])
-        running = min(running, v[cur])
-        cur = int(parent[cur])
-    meet = cur
+    sum_t, meet, running = _branch(path, t, s)
     x_t = min(v[meet], running) - lim[meet]
-    # s-side: climb the other branch down to the same meeting point
-    sum_s = 0.0
-    running = math.inf
-    cur = s
-    while cur > meet:
-        x = min(v[cur], running) - lim[cur]
-        sum_s += _gap(x, jump[cur])
-        running = min(running, v[cur])
-        cur = int(parent[cur])
+    if meet == s:
+        return _gap(x_t, jump[s]) + sum_t
+    sum_s, _, running = _branch(path, s, meet)
     x_s = min(v[meet], running) - lim[meet]
     return sum_s + sum_t + _gap(abs(x_t - x_s), jump[meet])
 
@@ -189,33 +167,11 @@ def distance_from_root(path: JumpPath, t):
     contributes its jump times min(u, 1-u), u being the relative position
     of the descent inside that jump.
 
-    ``t`` is one time index or an integer array of them.  An array climbs
-    all its times in lockstep, one ancestor per round, adding the same
-    terms in the same order as the single-time climb, so every entry equals
-    the single-time result bit for bit.
+    ``t`` is one time index, which gives a float, or an integer array of
+    them, which gives an array of the same shape.  All times climb in
+    lockstep, one ancestor per round.
     """
-    if np.ndim(t):
-        return _root_distances(path, np.asarray(t))
-    _validate_index(path, t)
-    if t == 0:
-        return 0.0
-    parent = path._ensure_parent()
-    v, lim, jump = path.values, path.left_limits, path.jumps
-    total = 0.0
-    running = math.inf
-    cur = t
-    while cur != -1:
-        if jump[cur] > 0.0:
-            x = min(v[cur], running) - lim[cur]
-            u = x / jump[cur]
-            total += jump[cur] * min(u, 1.0 - u)
-        running = min(running, v[cur])
-        cur = int(parent[cur])
-    return total
-
-
-def _root_distances(path: JumpPath, times: np.ndarray) -> np.ndarray:
-    """distance_from_root for an integer array of times, in lockstep."""
+    times = np.asarray(t)
     if times.dtype.kind not in "iu":
         raise TypeError(f"time indices must be integers, got {times.dtype}")
     bad = (times < 0) | (times >= path.n)
@@ -236,7 +192,7 @@ def _root_distances(path: JumpPath, times: np.ndarray) -> np.ndarray:
             total += np.where(jc > 0.0, jc * np.minimum(u, 1.0 - u), 0.0)
             running = np.minimum(running, vc)
             cur = up[cur]
-    return total
+    return total if times.ndim else float(total)
 
 
 def max_jump(path: JumpPath) -> float:

@@ -16,16 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .dissection import dual_tree, gh_gap_check, sample_boltzmann
+from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import (
     OffspringLaw,
     encode_tree,
     sample_conditioned_tree,
     stable_offspring,
-    tree_stats,
 )
-from .looptree import build_loop, build_loop_prime, loop_distances
+from .looptree import build_loop, loop_distances
 from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
@@ -329,6 +328,9 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
                 max_leaves: int = 300, seed: int = 0) -> dict:
     """Height bound for dissections against their dual looptrees, plus the
     Loop/Loop' corner correspondence on the same trees."""
+    if max_leaves < 2:
+        raise ConfigError("max_leaves",
+                          f"a dissection needs at least 2 leaves, got {max_leaves}")
     # sample_boltzmann reads mu only on [0, n_leaves]
     law = stable_offspring(alpha, variant="no-unary", cutoff=max_leaves + 1)
 
@@ -336,16 +338,16 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
         rng = stream(seed, i)
         n_leaves = int(rng.integers(2, max_leaves + 1))
         d = sample_boltzmann(law, n_leaves, rng)
-        ok, observed = gh_gap_check(d)
-        tree = dual_tree(d)
-        height = tree_stats(tree).height
-        # corner pairing between Loop and Loop'
-        nt = tree.size
-        dl = build_loop(tree).distances()
-        dp = build_loop_prime(tree).distances()
-        px = np.concatenate([[0], np.arange(1, nt) - 1])
-        py = np.arange(0, nt)
-        dis = int(np.abs(dl[np.ix_(px, px)] - dp[np.ix_(py, py)]).max())
+        ok, observed, path, dl = _dual_gap(d)
+        height = int(path._ensure_index().depth.max())
+        # corner pairing between Loop and Loop': the root goes with the
+        # first corner, row 0 of the corner matrix
+        nt = path.n
+        v = np.arange(nt)
+        dp = loop_distances(path, v[:, None], v[None, :],
+                            root_cycle=int(path.steps[0]) + 2)
+        px = np.concatenate([[0], v[:-1]])
+        dis = int(np.abs(dl[np.ix_(px, px)] - dp).max())
         return {
             "n_leaves": n_leaves,
             "height": height,

@@ -333,10 +333,12 @@ class _TreeIndex:
     vertex whose jump opened h (crossed from <= h to > h).  At every level
     the opens and the fills alternate in time, so once both are sorted by
     (level, time) the i-th fill belongs to the i-th open.  depth is computed
-    on first use, by pointer jumping along parent.
+    on first use, by pointer jumping along parent, and so is pos: pos[k] is
+    the slot of k on its parent's cycle, W_k - W_parent + 1 (slot 0 is the
+    parent's own), and 0 at the root.
     """
 
-    __slots__ = ("parent", "_depth")
+    __slots__ = ("parent", "_values", "_depth", "_pos")
 
     def __init__(self, steps: np.ndarray, values: np.ndarray):
         n = steps.size
@@ -352,7 +354,9 @@ class _TreeIndex:
             parent[fill[np.argsort(values[fill] * n + fill)]] = \
                 opener[np.argsort(level * n + opener)]
         self.parent = parent
+        self._values = values
         self._depth = None
+        self._pos = None
 
     @property
     def depth(self) -> np.ndarray:
@@ -368,6 +372,15 @@ class _TreeIndex:
                 anc = anc[anc]
             self._depth = depth
         return self._depth
+
+    @property
+    def pos(self) -> np.ndarray:
+        if self._pos is None:
+            w = self._values
+            pos = np.zeros(self.parent.size, dtype=np.int64)
+            pos[1:] = w[1:-1] - w[self.parent[1:]] + 1
+            self._pos = pos
+        return self._pos
 
 
 def encode_tree(tree: PlaneTree) -> LukasiewiczPath:
@@ -415,22 +428,19 @@ def descent(path: LukasiewiczPath, j: int):
 
     Returns a list of pairs (k, x) over the ancestors u_k of u_j, where
     x = min(W[k+1..j]) - W[k] + 1 is the position of the branch toward u_j
-    on the cycle of u_k.  Empty for the root.
+    on the cycle of u_k.  That minimum is W_c for the child u_c of u_k on
+    the way to u_j, so x is pos[c].  Empty for the root.
     """
     n = path.n
     if not (0 <= j < n):
         raise IndexError(f"vertex index {j} out of range [0, {n})")
     idx = path._ensure_index()
-    parent = idx.parent
-    w = path.values
+    parent, pos = idx.parent, idx.pos
     out = []
     cur = j
-    m = None
     while cur != 0:
         a = int(parent[cur])
-        wc = int(w[cur])
-        m = wc if m is None else min(m, wc)
-        out.append((a, m - int(w[a]) + 1))
+        out.append((a, int(pos[cur])))
         cur = a
     out.reverse()
     return out

@@ -9,10 +9,12 @@ consecutive siblings, each parent to its first child, and each parent to its
 last child; a unary vertex is joined to its child by two parallel edges.
 
 Distances in both graphs also come in closed form from the Lukasiewicz
-walk, one loop contribution per common ancestor, so neither graph has to be
-built to measure them: loop_prime_distance climbs one pair of the second
-graph, and loop_distances climbs whole arrays of pairs in lockstep, in
-either graph.
+walk, so neither graph has to be built to measure them.  Both vertices of
+a pair climb to their most recent common ancestor, and every cycle on the
+way adds the circular gap between two slots; each vertex's slot on its
+parent's cycle is cached on the walk's genealogy.  loop_distances climbs
+whole arrays of pairs in lockstep, in either graph, and
+loop_prime_distance runs the same climb for one pair of the second graph.
 """
 
 from __future__ import annotations
@@ -182,87 +184,35 @@ def build_loop_prime(tree: PlaneTree) -> LoopGraph:
     return LoopGraph(n, edges, np.arange(n, dtype=np.int64))
 
 
-def _cycle_gap(steps: np.ndarray, k: int, a: int, b: int) -> int:
-    """Distance between positions a, b on the cycle of vertex k (k+1 slots
-    for k children, so the modulus is the child count plus one)."""
-    width = abs(b - a)
-    return min(width, int(steps[k]) + 2 - width)
-
-
-def _ancestor_distance(path: LukasiewiczPath, i: int, j: int) -> int:
-    """Graph distance when vertex i is an ancestor of vertex j: one cycle
-    contribution per chain vertex from i (inclusive) up to j (exclusive)."""
-    w = path.values
-    steps = path.steps
-    parent = path._ensure_index().parent
-    total = 0
-    cur = j
-    low = w[j]
-    while cur != i:
-        a = int(parent[cur])
-        low = min(low, int(w[cur]))
-        x = low - int(w[a]) + 1
-        total += _cycle_gap(steps, a, 0, x)
-        cur = a
-    return total
-
-
-def _junction_distance(path: LukasiewiczPath, i: int, j: int) -> int:
-    """Three-part form: climb both branches to the common ancestor and add
-    the junction gap there.  Also valid when i is itself the ancestor, in
-    which case the i-side climb is empty and its cycle position is 0."""
-    w = path.values
-    steps = path.steps
-    parent = path._ensure_index().parent
-    low = int(w[i:j + 1].min())
-
-    sum_j = 0
-    cur = j
-    running = int(w[j])
-    while True:
-        a = int(parent[cur])
-        running = min(running, int(w[cur]))
-        x = running - int(w[a]) + 1
-        if a <= i:
-            meet, x_j = a, x
-            break
-        sum_j += _cycle_gap(steps, a, 0, x)
-        cur = a
-
-    if meet == i:
-        sum_i, x_i = 0, 0
-    else:
-        sum_i = 0
-        cur = i
-        running = int(w[i])
-        while True:
-            a = int(parent[cur])
-            running = min(running, int(w[cur]))
-            x = running - int(w[a]) + 1
-            if int(w[a]) <= low:
-                x_i = x
-                break
-            sum_i += _cycle_gap(steps, a, 0, x)
-            cur = a
-
-    return sum_i + sum_j + _cycle_gap(steps, meet, x_i, x_j)
-
-
 def loop_prime_distance(path: LukasiewiczPath, i: int, j: int) -> int:
     """Exact distance between vertices i and j in the sibling-joined graph,
-    straight from the walk: the most recent common ancestor is located by
-    the window minimum, and each cycle along the two descents contributes
-    its circular gap."""
+    straight from the walk: the climb of loop_distances run for one pair,
+    where every cycle, the root's included, has child count plus one slots.
+    """
     n = path.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"vertex pair ({i}, {j}) out of range [0, {n})")
     if i == j:
         return 0
-    if i > j:
-        i, j = j, i
-    if path.values[i] == path.values[i:j + 1].min():
-        return _ancestor_distance(path, i, j)
-    return _junction_distance(path, i, j)
+    lo, hi = min(i, j), max(i, j)
+    idx = path._ensure_index()
+    parent, pos, steps = idx.parent, idx.pos, path.steps
+    total = 0
+    meet = int(parent[hi])
+    while meet > lo:
+        x = int(pos[hi])
+        total += min(x, int(steps[meet]) + 2 - x)
+        hi, meet = meet, int(parent[meet])
+    x_lo = 0  # lo's own slot, when lo is the meeting vertex
+    if meet != lo:
+        a = int(parent[lo])
+        while a > meet:
+            x = int(pos[lo])
+            total += min(x, int(steps[a]) + 2 - x)
+            lo, a = a, int(parent[a])
+        x_lo = int(pos[lo])
+    width = abs(int(pos[hi]) - x_lo)
+    return total + min(width, int(steps[meet]) + 2 - width)
 
 
 def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,
@@ -304,12 +254,10 @@ def loop_distances(path: LukasiewiczPath, i, j, root_cycle: int) -> np.ndarray:
     hi = np.maximum(a, b).ravel()
     if lo.size and (lo.min() < 0 or hi.max() >= n):
         raise IndexError(f"vertex index out of range [0, {n})")
-    parent = path._ensure_index().parent
-    w = path.values
+    idx = path._ensure_index()
+    parent, pos = idx.parent, idx.pos
     cycle = path.steps + 2
     cycle[0] = root_cycle
-    pos = np.zeros(n, dtype=np.int64)
-    pos[1:] = w[1:n] - w[parent[1:]] + 1
     step_up = np.minimum(pos, cycle[parent] - pos)  # gap from slot 0 to pos
     c_hi, sum_hi = _climb(parent, step_up, hi, lo)
     meet = parent[c_hi]  # lo itself when lo is an ancestor of hi

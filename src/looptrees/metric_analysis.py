@@ -140,50 +140,17 @@ def circle_metric(m: int) -> FiniteMetric:
     return FiniteMetric(d, check_triangle=False)
 
 
-def _contour_walk(tree: PlaneTree):
-    """Depth sequence of the contour around the tree plus first-visit times.
-
-    The contour records the depth every time the walk arrives at a vertex,
-    going down one edge or back up one, so it has 2n - 1 entries and the
-    minimum between two first visits is exactly the common ancestor depth.
-    """
-    counts = tree.children_counts
-    n = tree.size
-    c = np.empty(2 * n - 1, dtype=np.int64)
-    fv = np.empty(n, dtype=np.int64)
-    c[0] = 0
-    fv[0] = 0
-    pos = 1
-    nxt = 1  # preorder id of the next vertex to be discovered
-    stack = [[0, int(counts[0])]]
-    while stack:
-        top = stack[-1]
-        if top[1] > 0:
-            top[1] -= 1
-            w = nxt
-            nxt += 1
-            fv[w] = pos
-            c[pos] = len(stack)
-            pos += 1
-            stack.append([w, int(counts[w])])
-        else:
-            stack.pop()
-            if stack:
-                c[pos] = len(stack) - 1
-                pos += 1
-    return c, fv
-
-
 def tree_metric(tree: PlaneTree) -> FiniteMetric:
-    """Exact graph metric of a plane tree via its contour walk:
-    d(i,j) = dep_i + dep_j - 2 min of the contour between the visits."""
-    c, fv = _contour_walk(tree)
-    dep = c[fv].astype(np.float64)
+    """Exact graph metric of a plane tree from its depths in preorder:
+    d(i,j) = dep_i + dep_j - 2 dep_a, where for i < j the common ancestor a
+    has depth min(dep[i+1..j]) - 1."""
+    dep = encode_tree(tree)._ensure_index().depth
     n = tree.size
     d = np.empty((n, n))
     for i in range(n):
-        running = np.minimum.accumulate(c[fv[i]:])
-        d[i, i:] = dep[i] + dep[i:] - 2.0 * running[fv[i:] - fv[i]]
+        # dep_i + 1 stands in for the empty window at j = i
+        meet = np.minimum.accumulate(np.r_[dep[i] + 1, dep[i + 1:]]) - 1
+        d[i, i:] = dep[i] + dep[i:] - 2.0 * meet
         d[i:, i] = d[i, i:]
     return FiniteMetric(d, check_triangle=False)
 

@@ -133,6 +133,11 @@ def test_experiment_gh_sandwich_small(tmp_path):
              "--n", "30", "--seed", "3")
     report = json.loads((tmp_path / "gh_sandwich_report.json").read_text())
     assert rc == 0 and report["pass"]
+    # --n is the leaf cap
+    run(tmp_path, "experiment", "gh-sandwich", "--replicates", "2", "--n", "6")
+    report = json.loads((tmp_path / "gh_sandwich_report.json").read_text())
+    assert report["max_leaves"] == 6
+    assert all(2 <= row["n_leaves"] <= 6 for row in report["rows"])
 
 
 def _strict_json(text: str):
@@ -165,6 +170,7 @@ def test_reports_are_strict_json(tmp_path):
     ("experiment", "dimension", "--window", "5", "4"),
     ("experiment", "interpolation-crt", "--n", "2"),
     ("experiment", "interpolation-crt", "--n", "1"),
+    ("experiment", "gh-sandwich", "--n", "1"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

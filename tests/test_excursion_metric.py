@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,59 @@ def brute_distance(path, s, t):
         + chain(m, s, sorted(anc_s))
         + chain(m, t, anc_t)
     )
+
+
+# ---- the earlier single-query climbs, kept as bit-for-bit oracles ----
+
+def _gap(width, cycle):
+    return min(width, cycle - width)
+
+
+def climb_root_distance(path, t):
+    """distance_from_root one time at a time: climb the ancestors of t,
+    adding jump * min(u, 1 - u) wherever there is a jump."""
+    parent = path._ensure_parent()
+    v, lim, jump = path.values, path.left_limits, path.jumps
+    total = 0.0
+    running = math.inf
+    cur = t
+    while cur != -1:
+        if jump[cur] > 0.0:
+            x = min(v[cur], running) - lim[cur]
+            u = x / jump[cur]
+            total += jump[cur] * min(u, 1.0 - u)
+        running = min(running, v[cur])
+        cur = int(parent[cur])
+    return total
+
+
+def window_min_looptree_distance(path, s, t):
+    """looptree_distance that tells ancestor pairs apart by the window
+    minimum of the values between s and t."""
+    if s == t:
+        return 0.0
+    if s > t:
+        s, t = t, s
+    parent = path._ensure_parent()
+    v, lim, jump = path.values, path.left_limits, path.jumps
+
+    def climb(cur, stop):
+        total, running = 0.0, math.inf
+        while cur > stop:
+            x = min(v[cur], running) - lim[cur]
+            total += _gap(x, jump[cur])
+            running = min(running, v[cur])
+            cur = int(parent[cur])
+        return total, cur, running
+
+    window_min = float(v[s:t + 1].min())
+    if lim[s] <= window_min:
+        return _gap(window_min - lim[s], jump[s]) + climb(t, s)[0]
+    sum_t, meet, running = climb(t, s)
+    x_t = min(v[meet], running) - lim[meet]
+    sum_s, _, running = climb(s, meet)
+    x_s = min(v[meet], running) - lim[meet]
+    return sum_s + sum_t + _gap(abs(x_t - x_s), jump[meet])
 
 
 def random_jump_path(rng, n, float_steps=True):
@@ -170,16 +225,37 @@ def test_batched_root_distance_is_the_single_time_climb_bit_for_bit(rng_factory)
         p = random_jump_path(rng, int(rng.integers(2, 60)),
                              float_steps=bool(rng.integers(0, 2)))
         times = np.arange(p.n)
-        got = distance_from_root(p, times)
-        assert got.tolist() == [distance_from_root(p, int(t)) for t in times]
+        want = [climb_root_distance(p, int(t)) for t in times]
+        assert distance_from_root(p, times).tolist() == want
+        assert [distance_from_root(p, int(t)) for t in times] == want
     for alpha in (1.05, 1.5, 1.95):
         law = stable_offspring(alpha)
         n = 20_000
         p = rescale(encode_tree(sample_conditioned_tree(law, n, rng)),
                     law.scaling_constant(n))
         times = rng.integers(0, n, size=300)
-        got = distance_from_root(p, times)
-        assert got.tolist() == [distance_from_root(p, int(t)) for t in times]
+        want = [climb_root_distance(p, int(t)) for t in times]
+        assert distance_from_root(p, times).tolist() == want
+        assert [distance_from_root(p, int(t)) for t in times[:50]] == want[:50]
+
+
+def test_distance_is_the_window_minimum_climb_bit_for_bit(rng_factory):
+    rng = rng_factory(37)
+    for _ in range(150):
+        p = random_jump_path(rng, int(rng.integers(2, 40)),
+                             float_steps=bool(rng.integers(0, 2)))
+        for s in range(p.n):
+            for t in range(p.n):
+                assert looptree_distance(p, s, t) == \
+                    window_min_looptree_distance(p, s, t)
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for n in (64, 4096, 32_768):
+            lp = encode_tree(sample_conditioned_tree(law, n, rng))
+            for p in (rescale(lp, 1.0), rescale(lp, law.scaling_constant(n))):
+                for s, t in rng.integers(0, n, size=(1000, 2)).tolist():
+                    assert looptree_distance(p, s, t) == \
+                        window_min_looptree_distance(p, s, t)
 
 
 def test_root_distance_shapes_and_validation():

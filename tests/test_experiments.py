@@ -21,8 +21,18 @@ from looptrees.experiments import (
     max_jump_experiment,
     stream,
 )
-from looptrees.gw_tree import PlaneTree, sample_conditioned_tree, stable_offspring
-from looptrees.looptree import build_loop
+from looptrees.dissection import (
+    _dual_with_regions,
+    gh_gap_check,
+    sample_boltzmann,
+)
+from looptrees.gw_tree import (
+    PlaneTree,
+    sample_conditioned_tree,
+    stable_offspring,
+    tree_stats,
+)
+from looptrees.looptree import build_loop, build_loop_prime
 
 
 def bfs_circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
@@ -41,6 +51,36 @@ def bfs_circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
     dc = np.minimum(gap, m - gap) / m
     dis = float(np.abs(da - dc).max())
     return dis / 2.0 + eps_graph / b + 1.0 / (2.0 * m)
+
+
+def bfs_sandwich_row(d) -> dict:
+    """Oracle: one gh_sandwich row, with the gap check, the dual tree and
+    both loop metrics rebuilt from scratch and measured by breadth-first
+    search on the loop graphs."""
+    counts, regions = _dual_with_regions(d)
+    tree = PlaneTree(counts)
+    n = d.n_sides
+    loop_dist = build_loop(tree).distances()
+    ends = np.array([(a % n, b % n) for a, b in regions[1:]], dtype=np.int64)
+    glue = np.arange(1, tree.size, dtype=np.int64) - 1
+    px = np.concatenate([ends[:, 0], ends[:, 1]])
+    gx = np.concatenate([glue, glue])
+    poly_dist = d.graph_distances()
+    dis = np.abs(poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]).max()
+    observed = dis / 2.0
+    height = tree_stats(tree).height
+    nt = tree.size
+    dp = build_loop_prime(tree).distances()
+    px = np.concatenate([[0], np.arange(1, nt) - 1])
+    py = np.arange(0, nt)
+    pair = int(np.abs(loop_dist[np.ix_(px, px)] - dp[np.ix_(py, py)]).max())
+    return {
+        "n_leaves": tree_stats(tree).leaf_count,
+        "height": height,
+        "observed": float(observed),
+        "height_bound_ok": bool(observed <= height + 2),
+        "loop_pair_gh_bound": pair / 2.0,
+    }
 
 
 def test_stream_is_deterministic_and_split():
@@ -188,3 +228,18 @@ def test_gh_sandwich_small():
     for row in rep["rows"]:
         assert row["height_bound_ok"]
         assert row["loop_pair_gh_bound"] <= 2.0
+
+
+def test_gh_sandwich_rows_match_bfs_oracle():
+    law = stable_offspring(1.5, variant="no-unary", cutoff=81)
+    for seed in range(40):
+        rows = gh_sandwich(alpha=1.5, n_dissections=4, max_leaves=80,
+                           seed=seed)["rows"]
+        for i, row in enumerate(rows):
+            rng = stream(seed, i)
+            d = sample_boltzmann(law, int(rng.integers(2, 81)), rng)
+            want = bfs_sandwich_row(d)
+            assert row == want, (seed, i)
+            ok, observed = gh_gap_check(d)
+            assert (ok, observed) == (want["height_bound_ok"], want["observed"])
+

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
@@ -395,6 +395,28 @@ def test_conditioned_property_on_finite_laws(weights, n, seed):
     tree = sample_conditioned_tree(law, n, rng)
     assert tree.size == n
     assert set(tree.children_counts.tolist()) <= set(support)
+
+
+# n - 1 balls in n bins, minus one: every vector of n steps >= -1 summing to
+# -1, with runs of -1 steps that tie the minimum of the partial sums
+step_vectors = st.integers(1, 60).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1)
+    .map(lambda balls: np.bincount(balls, minlength=n) - 1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_vectors)
+@example([0, -1, 1, -1])  # partial sums 0, -1, 0, -1: the minimum is tied
+def test_cycle_lemma_property(steps):
+    steps = np.asarray(steps, dtype=np.int64)
+    valid = []
+    for r in range(steps.size):
+        partial = np.cumsum(np.roll(steps, -r))
+        if partial[-1] == -1 and partial[:-1].min(initial=0) >= 0:
+            valid.append(np.roll(steps, -r))
+    assert len(valid) == 1
+    assert np.array_equal(_cycle_shift(steps), valid[0])
 
 
 def test_binary_law_uniform_on_five_vertices(rng_factory):

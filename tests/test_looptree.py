@@ -15,8 +15,6 @@ from looptrees.gw_tree import (
 )
 from looptrees.looptree import (
     LoopGraph,
-    _ancestor_distance,
-    _junction_distance,
     build_loop,
     build_loop_prime,
     loop_distances,
@@ -133,28 +131,6 @@ def test_distance_validation_and_symmetry(rng_factory):
         assert dij <= loop_prime_distance(path, i, k) + loop_prime_distance(path, k, j)
 
 
-def test_junction_formula_degenerates_to_ancestor_formula(small_trees, rng_factory):
-    # on ancestor pairs the three-part formula must reduce to the chain sum;
-    # both code paths are evaluated and compared directly
-    def check(tree):
-        path = encode_tree(tree)
-        w = path.values
-        n = tree.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i] == w[i:j + 1].min():
-                    assert _junction_distance(path, i, j) == \
-                        _ancestor_distance(path, i, j)
-
-    for tree in small_trees:
-        if tree.size <= 6:
-            check(tree)
-    rng = rng_factory(22)
-    law = stable_offspring(1.5)
-    for _ in range(5):
-        check(sample_conditioned_tree(law, int(rng.integers(10, 80)), rng))
-
-
 def test_loop_loop_prime_corner_correspondence(small_trees, rng_factory):
     # pairing each non-root vertex with its corner (root with the first
     # corner) distorts distances by at most 4, so the GH bound is <= 2
@@ -221,15 +197,27 @@ def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
         assert np.array_equal(got, build_loop_prime(tree).distances())
         return got
 
+    def scalar(tree):
+        path = encode_tree(tree)
+        return np.array([[loop_prime_distance(path, i, j)
+                          for j in range(tree.size)] for i in range(tree.size)])
+
     for tree in small_trees:
-        check(tree)
+        assert np.array_equal(scalar(tree), check(tree))
     rng = rng_factory(25)
     law = stable_offspring(1.5)
     tree = sample_conditioned_tree(law, 200, rng)
-    got = check(tree)
-    path = encode_tree(tree)
-    for i, j in rng.integers(0, 200, size=(100, 2)):
-        assert got[i, j] == loop_prime_distance(path, int(i), int(j))
+    assert np.array_equal(scalar(tree), check(tree))
+    # the scalar climb against the lockstep one on every pair
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for _ in range(8):
+            tree = sample_conditioned_tree(law, int(rng.integers(2, 151)), rng)
+            path = encode_tree(tree)
+            v = np.arange(tree.size)
+            want = loop_distances(path, v[:, None], v[None, :],
+                                  root_cycle=int(path.steps[0]) + 2)
+            assert np.array_equal(scalar(tree), want), tree.children_counts.tolist()
 
 
 def test_loop_distances_shapes_and_validation():
