@@ -331,8 +331,7 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
     if max_leaves < 2:
         raise ConfigError("max_leaves",
                           f"a dissection needs at least 2 leaves, got {max_leaves}")
-    # sample_boltzmann reads mu only on [0, n_leaves]
-    law = stable_offspring(alpha, variant="no-unary", cutoff=max_leaves + 1)
+    law = stable_offspring(alpha, variant="no-unary")
 
     def one(i: int):
         rng = stream(seed, i)

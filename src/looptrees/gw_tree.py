@@ -40,10 +40,10 @@ _MEAN_TOL = 1e-9
 class OffspringLaw:
     """Offspring distribution of a critical branching process.
 
-    ``probabilities`` holds the pmf up to a cutoff; for the built-in
-    polynomial-tail family the mass beyond the cutoff is carried analytically
-    (Hurwitz zeta values), so sampling and tail evaluation stay exact to
-    float precision at every k.
+    ``probabilities`` holds the pmf up to a cutoff.  The built-in
+    polynomial-tail family stores only the atoms its formula does not give
+    and carries every other atom analytically (Hurwitz zeta values for the
+    tail), so ``pmf`` and ``tail`` are exact to float precision at every k.
 
     Attributes
     ----------
@@ -66,36 +66,29 @@ class OffspringLaw:
         self.alpha = None if alpha is None else float(alpha)
         self.tail_constant = None if tail_constant is None else float(tail_constant)
         self.forbids_unary = bool(forbids_unary)
-        # theta, support_start describe the analytic continuation
-        # mu_k = theta * k**(-1-alpha) for k >= support_start beyond the table.
+        # theta, support_start describe the analytic continuation: beyond the
+        # table mu_k = 0 below support_start and theta * k**(-1-alpha) from
+        # there on; inside the table, entries from support_start on must
+        # follow the same formula, since tail reads only the formula
         self._theta = _theta
         self._support_start = _support_start
-        self._cdf = np.cumsum(pmf)
-        self._beyond = self._analytic_tail_mass(pmf.size)
-        total = self._cdf[-1] + self._beyond
+        total = float(pmf.sum()) + self._beyond_table(0)
         if abs(total - 1.0) > _PMF_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        mean = float(np.sum(np.arange(pmf.size) * pmf)) + self._analytic_tail_first_moment(pmf.size)
+        mean = self.mean()
         if abs(mean - 1.0) > _MEAN_TOL:
             raise ValueError(f"offspring mean is {mean!r}; the law must be critical")
         if self.forbids_unary and pmf.size > 1 and pmf[1] != 0.0:
             raise ValueError("forbids_unary set but mu_1 is nonzero")
         self._bridge_tables: dict = {}
 
-    # -- analytic tail pieces (zero for plain finite laws) -------------------
-
-    def _analytic_tail_mass(self, k: int) -> float:
-        """P(offspring >= k) contributed beyond the stored table."""
-        if self._theta is None or k < self._pmf.size:
-            return 0.0
-        lo = max(k, self._support_start)
-        return float(self._theta * _hurwitz_zeta(1.0 + self.alpha, lo))
-
-    def _analytic_tail_first_moment(self, k: int) -> float:
+    def _beyond_table(self, moment: int) -> float:
+        """Sum of k**moment * mu_k over the atoms k past the stored table
+        (0 for a plain finite law)."""
         if self._theta is None:
             return 0.0
-        lo = max(k, self._support_start)
-        return float(self._theta * _hurwitz_zeta(self.alpha, lo))
+        lo = max(self._pmf.size, self._support_start)
+        return float(self._theta * _hurwitz_zeta(self.alpha + (1 - moment), lo))
 
     # -- public surface -------------------------------------------------------
 
@@ -118,30 +111,27 @@ class OffspringLaw:
         inside = (arr >= 0) & (arr < self._pmf.size)
         out[inside] = self._pmf[arr[inside]]
         if self._theta is not None:
-            beyond = arr >= self._pmf.size
-            if np.any(beyond):
-                kk = arr[beyond].astype(float)
-                out[beyond] = self._theta * kk ** (-1.0 - self.alpha)
+            beyond = arr >= max(self._pmf.size, self._support_start)
+            out[beyond] = self._theta * arr[beyond].astype(float) ** (-1.0 - self.alpha)
         return out if out.ndim else float(out)
 
     def tail(self, k):
         """P(offspring >= k)."""
-        arr = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        out = np.empty(arr.shape, dtype=float)
-        for i, kk in enumerate(arr):
-            if kk <= 0:
-                out[i] = 1.0
-            elif self._theta is not None and kk >= self._support_start:
-                out[i] = self._theta * _hurwitz_zeta(1.0 + self.alpha, kk)
-            elif kk >= self._pmf.size:
-                out[i] = self._analytic_tail_mass(int(kk))
-            else:
-                out[i] = 1.0 - self._cdf[kk - 1]
-        return out if np.ndim(k) else float(out[0])
+        arr = np.asarray(k, dtype=np.int64)
+        if self._theta is not None:
+            # mu_k = 0 on [1, support_start), so those k share one tail
+            out = self._theta * _hurwitz_zeta(
+                1.0 + self.alpha, np.maximum(arr, self._support_start))
+        else:
+            last = self._pmf.size - 1
+            cdf = np.cumsum(self._pmf)
+            out = np.where(arr > last, 0.0, 1.0 - cdf[np.clip(arr - 1, 0, last)])
+        out = np.where(arr <= 0, 1.0, out)
+        return out if out.ndim else float(out)
 
     def mean(self) -> float:
         return float(np.sum(np.arange(self._pmf.size) * self._pmf)) + \
-            self._analytic_tail_first_moment(self._pmf.size)
+            self._beyond_table(1)
 
     def scaling_constant(self, n: int) -> float:
         """B_n = (c * |Gamma(1-alpha)| * n)**(1/alpha), the walk's spatial scale."""
@@ -151,32 +141,6 @@ class OffspringLaw:
         gamma_abs = math.gamma(2.0 - alpha) / (alpha - 1.0)
         return (self.tail_constant * gamma_abs * n) ** (1.0 / alpha)
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` offspring counts by inverse transform."""
-        u = rng.random(size)
-        out = np.searchsorted(self._cdf, u, side="right").astype(np.int64)
-        if self._theta is not None:
-            overflow = np.flatnonzero(out >= self._pmf.size)
-            for i in overflow:
-                out[i] = self._invert_tail(float(u[i]))
-        elif np.any(out >= self._pmf.size):
-            # u landed beyond cdf[-1] by float rounding; clamp to the last atom
-            out = np.minimum(out, self._pmf.size - 1)
-        return out
-
-    def _invert_tail(self, u: float) -> int:
-        """Smallest k with P(offspring <= k) >= u, for u beyond the table."""
-        residual = 1.0 - u  # = target tail mass, in (0, beyond]
-        alpha, theta = self.alpha, self._theta
-        # power-law guess from tail(k) ~ (theta/alpha) k**-alpha, then walk
-        # with the exact Hurwitz tail until tail(k+1) < residual <= tail(k)
-        k = max(self._pmf.size, int((alpha * residual / theta) ** (-1.0 / alpha)))
-        while self.tail(k) < residual:
-            k -= 1
-        while self.tail(k + 1) >= residual:
-            k += 1
-        return int(k)
-
     def __repr__(self) -> str:
         kind = "no-unary" if self.forbids_unary else "generic"
         if self.alpha is not None:
@@ -185,19 +149,26 @@ class OffspringLaw:
 
 
 def stable_offspring(alpha: float, variant: str = "generic",
-                     cutoff: int = 2**20) -> OffspringLaw:
+                     cutoff: int | None = None) -> OffspringLaw:
     """Critical offspring law mu_k proportional to k**(-1-alpha).
 
     ``variant`` is "generic" (support {0, 1, 2, ...}) or "no-unary"
     (support {0, 2, 3, ...}).  The normalizing constant is pinned by
     criticality, mu_0 takes whatever mass is left, and the tail constant is
-    theta/alpha.  Raises if alpha leaves no room for mu_0.
+    theta/alpha.  Raises if alpha leaves no room for mu_0.  The stored
+    table holds only mu_0, and mu_1 = 0 for "no-unary"; a ``cutoff`` of at
+    least 1 stores the first ``cutoff`` atoms instead, which changes no
+    value of ``pmf`` or ``tail``.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie strictly inside (1, 2), got {alpha!r}")
     if variant not in ("generic", "no-unary"):
         raise ValueError(f"variant must be 'generic' or 'no-unary', got {variant!r}")
     start = 1 if variant == "generic" else 2
+    if cutoff is None:
+        cutoff = start
+    elif cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff!r}")
     # criticality: theta * sum_{k>=start} k**(1-1-alpha) * k = theta * zeta(alpha, start) = 1
     theta = 1.0 / float(_hurwitz_zeta(alpha, start))
     mass_positive = theta * float(_hurwitz_zeta(1.0 + alpha, start))
@@ -333,12 +304,14 @@ class _TreeIndex:
     vertex whose jump opened h (crossed from <= h to > h).  At every level
     the opens and the fills alternate in time, so once both are sorted by
     (level, time) the i-th fill belongs to the i-th open.  depth is computed
-    on first use, by pointer jumping along parent, and so is pos: pos[k] is
-    the slot of k on its parent's cycle, W_k - W_parent + 1 (slot 0 is the
-    parent's own), and 0 at the root.
+    on first use, by pointer jumping along parent, and so are pos and end:
+    pos[k] is the slot of k on its parent's cycle, W_k - W_parent + 1 (slot
+    0 is the parent's own), and 0 at the root; the subtree of k is the
+    range [k, end[k]), where end[k] is the first time after k at which the
+    walk steps below W_k.
     """
 
-    __slots__ = ("parent", "_values", "_depth", "_pos")
+    __slots__ = ("parent", "_values", "_depth", "_pos", "_end")
 
     def __init__(self, steps: np.ndarray, values: np.ndarray):
         n = steps.size
@@ -357,6 +330,7 @@ class _TreeIndex:
         self._values = values
         self._depth = None
         self._pos = None
+        self._end = None
 
     @property
     def depth(self) -> np.ndarray:
@@ -381,6 +355,19 @@ class _TreeIndex:
             pos[1:] = w[1:-1] - w[self.parent[1:]] + 1
             self._pos = pos
         return self._pos
+
+    @property
+    def end(self) -> np.ndarray:
+        if self._end is None:
+            # down steps are -1, so the walk leaves [W_k, inf) at level
+            # W_k - 1; sort every time by (level + 1, time) and take the
+            # first key past (W_k, k), which is on that level after k
+            w = self._values
+            m = w.size
+            t = np.arange(m)
+            keys = np.sort((w + 1) * m + t)
+            self._end = keys[np.searchsorted(keys, w[:-1] * m + t[:-1], side="right")] % m
+        return self._end
 
 
 def encode_tree(tree: PlaneTree) -> LukasiewiczPath:

@@ -19,14 +19,6 @@ from .gw_tree import PlaneTree, encode_tree
 __all__ = ["looptree_layout", "looptree_svg"]
 
 
-def _subtree_sizes(parent: np.ndarray) -> np.ndarray:
-    n = parent.size
-    sizes = np.ones(n, dtype=np.int64)
-    for v in range(n - 1, 0, -1):
-        sizes[parent[v]] += sizes[v]
-    return sizes
-
-
 def looptree_layout(tree: PlaneTree):
     """Circle centers and radii for every tree vertex.
 
@@ -38,7 +30,7 @@ def looptree_layout(tree: PlaneTree):
     n = tree.size
     idx = encode_tree(tree)._ensure_index()
     parent = idx.parent
-    sizes = _subtree_sizes(parent)
+    sizes = idx.end - np.arange(n)
 
     # degree = children plus one edge toward the parent (root has none),
     # floored so leaves still get a visible dot of a circle

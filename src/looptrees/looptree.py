@@ -83,14 +83,22 @@ class LoopGraph:
         return self._adjacency
 
     def distances(self, sources=None) -> np.ndarray:
-        """BFS distances from each source (all vertices when omitted)."""
-        adj = self.adjacency()
+        """BFS distances, one row per source (all vertices when omitted).
+
+        Raises on a disconnected graph, naming one vertex that cannot be
+        reached and its source.
+        """
         if sources is None:
-            dist = dijkstra(adj, unweighted=True)
+            idx = np.arange(self.vertex_count, dtype=np.int64)
         else:
-            dist = dijkstra(adj, unweighted=True, indices=np.atleast_1d(sources))
+            idx = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        dist = dijkstra(self.adjacency(), unweighted=True, indices=idx)
         if np.isinf(dist).any():
-            raise RuntimeError("graph is not connected")
+            row, col = np.argwhere(np.isinf(dist))[0]
+            raise RuntimeError(
+                f"graph is not connected: vertex {int(col)} unreachable "
+                f"from vertex {int(idx[row])}"
+            )
         return dist.astype(np.int64)
 
     def to_edge_list(self) -> str:

@@ -85,18 +85,7 @@ def bfs_metric(graph: LoopGraph, sources=None) -> np.ndarray:
     square distance matrix.  Raises on a disconnected graph, naming one
     vertex that cannot be reached.
     """
-    if sources is None:
-        idx = np.arange(graph.vertex_count, dtype=np.int64)
-    else:
-        idx = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    d = dijkstra(graph.adjacency(), unweighted=True, indices=idx)
-    if np.isinf(d).any():
-        row, col = np.argwhere(np.isinf(d))[0]
-        raise RuntimeError(
-            f"graph is not connected: vertex {int(col)} unreachable "
-            f"from vertex {int(idx[row])}"
-        )
-    return d.astype(np.int64)
+    return graph.distances(sources)
 
 
 def gh_upper_bound(corr, dX: FiniteMetric, dY: FiniteMetric) -> float:

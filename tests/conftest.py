@@ -1,11 +1,50 @@
-"""Shared fixtures: exhaustive tree enumerations used across test modules."""
+"""Shared fixtures: exhaustive tree enumerations used across test modules,
+and the i.i.d. offspring sampler that the rejection oracles draw from."""
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
 
-from looptrees.gw_tree import PlaneTree
+from looptrees.gw_tree import OffspringLaw, PlaneTree
+
+# atoms the oracle tabulates for inverse-transform sampling; a draw beyond
+# them inverts the law's analytic tail
+ORACLE_TABLE = 2**20
+
+_cdfs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def sample_offspring(law: OffspringLaw, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``size`` i.i.d. offspring counts of a polynomial-tail law by inverse
+    transform, exact at every k: the unconditioned draws that the rejection
+    oracles filter.  The CDF table is built once per law."""
+    cdf = _cdfs.get(law)
+    if cdf is None:
+        cdf = _cdfs[law] = np.cumsum(law.pmf(np.arange(ORACLE_TABLE)))
+    u = rng.random(size)
+    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
+    for i in np.flatnonzero(out >= ORACLE_TABLE):
+        out[i] = invert_tail(law, float(u[i]))
+    return out
+
+
+def invert_tail(law: OffspringLaw, u: float) -> int:
+    """Smallest k with P(offspring <= k) >= u, for u beyond the oracle's
+    table of a polynomial-tail law."""
+    residual = 1.0 - u  # = target tail mass
+    alpha, theta = law.alpha, law._theta
+    # power-law guess from tail(k) ~ (theta/alpha) k**-alpha, then walk
+    # with the exact Hurwitz tail until tail(k+1) < residual <= tail(k)
+    k = max(ORACLE_TABLE, int((alpha * residual / theta) ** (-1.0 / alpha)))
+    while law.tail(k) < residual:
+        k -= 1
+    while law.tail(k + 1) >= residual:
+        k += 1
+    return int(k)
 
 
 def enumerate_plane_trees(n: int) -> list[PlaneTree]:

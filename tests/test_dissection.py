@@ -27,6 +27,8 @@ from looptrees.gw_tree import (
     tree_stats,
 )
 
+from conftest import sample_offspring
+
 
 @pytest.mark.parametrize("bad,word", [
     ((4, [(0, 2), (1, 3)]), "cross"),
@@ -197,7 +199,7 @@ def rejection_boltzmann(law: OffspringLaw, n_leaves: int,
     row = 2 * n_leaves - 1
     batch = 256
     while True:
-        xi = law.sample(batch * row, rng).reshape(batch, row)
+        xi = sample_offspring(law, batch * row, rng).reshape(batch, row)
         walk = np.cumsum(xi - 1, axis=1)
         hit = walk == -1
         first = np.argmax(hit, axis=1)

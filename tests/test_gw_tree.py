@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from looptrees._bridge import sample_conditioned_steps
 from looptrees.gw_tree import (
     LukasiewiczPath,
     OffspringLaw,
@@ -23,6 +24,8 @@ from looptrees.gw_tree import (
     stable_offspring,
     tree_stats,
 )
+
+from conftest import ORACLE_TABLE, invert_tail, sample_offspring
 
 
 def tree_from_seeds(seeds: list[int]) -> PlaneTree:
@@ -110,7 +113,7 @@ def test_sampling_matches_pmf():
     law = stable_offspring(1.5)
     rng = np.random.default_rng(5150)
     n = 10**6
-    draws = law.sample(n, rng)
+    draws = sample_offspring(law, n, rng)
     for k in range(6):
         emp = np.mean(draws == k)
         exp = law.pmf(k)
@@ -123,11 +126,37 @@ def test_sampling_matches_pmf():
 
 def test_tail_inversion_beyond_table():
     law = stable_offspring(1.5)
-    u = 1.0 - law.tail(2**20 + 37) * 0.5
-    k = law._invert_tail(u)
-    assert k >= 2**20
+    u = 1.0 - law.tail(ORACLE_TABLE + 37) * 0.5
+    k = invert_tail(law, u)
+    assert k >= ORACLE_TABLE
     resid = 1.0 - u
     assert law.tail(k) >= resid > law.tail(k + 1)
+
+
+@pytest.mark.parametrize("variant", ["generic", "no-unary"])
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_stable_offspring_cutoff_changes_no_value(alpha, variant):
+    # the stored table is a cache of the formula: every cutoff gives the
+    # same pmf and tail bit for bit, with mu_1 = 0 kept past a short table
+    ks = np.arange(10**6 + 1)
+    tail_ks = np.r_[np.arange(1001), 10**6]
+    laws = [stable_offspring(alpha, variant, cutoff=c) for c in (1, 2, 64, 2**20)]
+    pmf, tail = laws[-1].pmf(ks), laws[-1].tail(tail_ks)
+    assert (pmf[1] == 0.0) == (variant == "no-unary")
+    np.testing.assert_allclose(tail[:1001], 1.0 - np.r_[0.0, np.cumsum(pmf[:1000])],
+                               rtol=0.0, atol=1e-12)
+    for law in laws[:-1]:
+        assert np.array_equal(law.pmf(ks), pmf), law.probabilities.size
+        assert np.array_equal(law.tail(tail_ks), tail), law.probabilities.size
+
+
+def test_default_stable_law_holds_no_table():
+    # pmf and tail are formulas past mu_0 (and mu_1 = 0), so a default law
+    # stores a few bytes and no bridge table until a draw needs one
+    for variant in ("generic", "no-unary"):
+        law = stable_offspring(1.5, variant)
+        assert law.probabilities.nbytes <= 64
+        assert law._bridge_tables == {}
 
 
 def test_offspring_law_validation():
@@ -135,6 +164,8 @@ def test_offspring_law_validation():
         OffspringLaw.from_probabilities([0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         OffspringLaw.from_probabilities([0.9, 0.1])  # mean 0.1, not critical
+    with pytest.raises(ValueError, match="cutoff"):
+        stable_offspring(1.5, cutoff=0)
 
 
 # ---- tree and walk types ----
@@ -282,6 +313,24 @@ def test_genealogy_matches_stack_oracle(tree):
     assert idx.depth.tolist() == depth
 
 
+def subtree_sizes(parent: np.ndarray) -> np.ndarray:
+    """Oracle subtree sizes: add each vertex into its parent, last first."""
+    sizes = np.ones(parent.size, dtype=np.int64)
+    for v in range(parent.size - 1, 0, -1):
+        sizes[parent[v]] += sizes[v]
+    return sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_strategy)
+@example(PlaneTree([0]))
+@example(PlaneTree([1, 1, 1, 1, 0]))  # a unary chain
+@example(PlaneTree([2, 1, 1, 0, 1, 0]))
+def test_subtree_end_matches_size_oracle(tree):
+    idx = encode_tree(tree)._ensure_index()
+    assert np.array_equal(idx.end - np.arange(tree.size), subtree_sizes(idx.parent))
+
+
 def test_genealogy_matches_stack_oracle_on_sampled_trees(rng_factory):
     rng = rng_factory(3)
     for alpha in (1.05, 1.5, 1.95):
@@ -292,6 +341,7 @@ def test_genealogy_matches_stack_oracle_on_sampled_trees(rng_factory):
             parent, depth = stack_index(path.values)
             assert idx.parent.tolist() == parent
             assert idx.depth.tolist() == depth
+            assert np.array_equal(idx.end - np.arange(n), subtree_sizes(idx.parent))
 
 
 # ---- tree_stats ----
@@ -351,7 +401,7 @@ def rejection_conditioned(law: OffspringLaw, n: int,
     drawn = 0
     while drawn < cap:
         rows = min(batch, cap - drawn)
-        xi = law.sample(rows * n, rng).reshape(rows, n)
+        xi = sample_offspring(law, rows * n, rng).reshape(rows, n)
         hits = np.flatnonzero(xi.sum(axis=1) == n - 1)
         drawn += rows
         if hits.size:
@@ -395,6 +445,28 @@ def test_conditioned_property_on_finite_laws(weights, n, seed):
     tree = sample_conditioned_tree(law, n, rng)
     assert tree.size == n
     assert set(tree.children_counts.tolist()) <= set(support)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(any),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[0, 1], n=4, seed=0)  # support {0, 2}: even n is unattainable
+@example(weights=[0, 0, 0, 0, 0, 1], n=7, seed=0)  # support {0, 6}
+def test_bridge_totals_property(weights, n, seed):
+    law = _critical_law(weights)
+    support = [k for k in range(law.probabilities.size) if law.pmf(k) > 0]
+    rng = np.random.default_rng(seed)
+    if not _size_attainable(support, n):
+        with pytest.raises(ValueError, match="unattainable"):
+            sample_conditioned_steps(law, n, rng)
+        return
+    xi = sample_conditioned_steps(law, n, rng)
+    assert xi.shape == (n,)
+    assert int(xi.sum()) == n - 1
+    assert set(xi.tolist()) <= set(support)
 
 
 # n - 1 balls in n bins, minus one: every vector of n steps >= -1 summing to

@@ -233,5 +233,7 @@ def test_loop_distances_shapes_and_validation():
 
 def test_disconnected_graph_raises():
     g = LoopGraph(3, np.array([[0, 1]]), np.arange(3))
-    with pytest.raises(RuntimeError, match="connected"):
+    with pytest.raises(RuntimeError, match="not connected: vertex 2 unreachable from vertex 0"):
         g.distances()
+    with pytest.raises(RuntimeError, match="vertex 0 unreachable from vertex 2"):
+        g.distances(sources=[2])
