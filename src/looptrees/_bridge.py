@@ -2,23 +2,84 @@
 
 Splits the vector dyadically: the total of the left half given the overall
 total has a density proportional to p_a(j) * p_b(T - j), where p_m is the pmf
-of a sum of m offspring.  Those pmfs are computed once per (law, length) by
-convolution on the window [0, n-1], which is exact there because offspring
-counts are nonnegative and every conditional total stays <= n-1.  Only the
-~2*log2(n) distinct half sizes ever appear, so the table is small and each
-sample costs O(n log n).
+of a sum of m offspring.  Those pmfs are computed by convolution on the window
+[0, n-1], which is exact there because offspring counts are nonnegative and
+every conditional total stays <= n-1.  Only the ~2*log2(n) distinct half
+sizes ever appear, so the tables of one (law, n) are small and each sample
+costs O(n log n).  They are built once and kept in one cache shared by all
+laws: laws with equal values share an entry (see OffspringLaw._table_key),
+and the cache holds at most _TABLE_CACHE_BYTES, least recently used out
+first.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = ["sample_conditioned_steps"]
 
 # below this the quadratic convolution is cheap and exact to the last bit,
 # which the small-size distribution tests rely on
 _EXACT_CONV_LIMIT = 4096
+# bytes of bridge tables kept across calls; the newest entry stays even when
+# it alone is larger, so any n still samples
+_TABLE_CACHE_BYTES = 128 * 2**20
+
+
+class _TableCache:
+    """Bridge tables by (law key, n), dropping the least recently used entry
+    while they hold more than ``limit`` bytes.  A miss builds under the lock,
+    so threads that miss together build once."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._entries: OrderedDict = OrderedDict()  # key -> (tables, bytes)
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.bytes = 0
+
+    def get(self, key, build):
+        """The tables under ``key``, from ``build()`` on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self.misses += 1
+            tables = build()
+            size = sum(t.nbytes for t in tables.values())
+            self._entries[key] = (tables, size)
+            self.bytes += size
+            while self.bytes > self.limit and len(self._entries) > 1:
+                self.bytes -= self._entries.popitem(last=False)[1][1]
+            return tables
+
+    def by_length(self, law_key) -> dict:
+        """{n: tables} of the entries cached for one law key."""
+        with self._lock:
+            return {k[1]: e[0] for k, e in self._entries.items() if k[0] == law_key}
+
+    def info(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "entries": len(self._entries), "bytes": self.bytes}
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.bytes = 0
+
+
+_TABLES = _TableCache(_TABLE_CACHE_BYTES)
+
+
+def cache_info() -> dict:
+    """Hits, misses, entries and bytes of the shared bridge-table cache."""
+    return _TABLES.info()
 
 
 def _half_sizes(n: int) -> list:
@@ -39,24 +100,38 @@ def _half_sizes(n: int) -> list:
 
 
 def _convolve_window(pa: np.ndarray, pb: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the convolution of pa and pb, in an array of its own
+    (a slice would pin the whole length-(2n - 1) result)."""
     if n <= _EXACT_CONV_LIMIT:
-        out = np.convolve(pa, pb)[:n]
-    else:
-        out = fftconvolve(pa, pb)[:n]
-        np.clip(out, 0.0, None, out=out)
-    return np.ascontiguousarray(out)
+        return np.convolve(pa, pb)[:n].copy()
+    # the transforms scipy.signal.fftconvolve runs, bit for bit
+    f = next_fast_len(pa.size + pb.size - 1, True)
+    spec = rfft(pa, f)
+    spec *= spec if pb is pa else rfft(pb, f)
+    out = irfft(spec, f)[:n].copy()
+    np.clip(out, 0.0, None, out=out)
+    return out
 
 
 def _sum_pmf_tables(window: np.ndarray) -> dict:
-    """pmf of S_m on [0, n-1] for every half size m, built by convolution;
-    ``window`` is the single-draw pmf on [0, n-1]."""
+    """pmf of S_m on [0, n-1] for every half size m < n, built by
+    convolution from ``window``, the single-draw pmf on [0, n-1].  Of S_n the
+    bridge reads only P(S_n = n-1), so ``tables[n]`` holds that one value:
+    0.0 when no n draws sum to n-1."""
     n = window.size
     tables = {1: window}
-    for m in _half_sizes(n):
-        if m == 1 or m in tables:
+    for m in _half_sizes(n)[:-1]:
+        if m == 1:
             continue
         a = (m + 1) // 2
         tables[m] = _convolve_window(tables[a], tables[m - a], n)
+    a = (n + 1) // 2
+    tables[n] = np.dot(tables[a], tables[n - a][::-1])
+    # FFT tables hold float noise where exact zeros belong, so that sum
+    # misses the gaps of a lattice law; every total of n draws is a
+    # multiple of the gcd of the law's positive support points
+    if n > _EXACT_CONV_LIMIT and (n - 1) % np.gcd.reduce(np.flatnonzero(window[1:]) + 1):
+        tables[n] = np.float64(0.0)
     return tables
 
 
@@ -64,10 +139,8 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
     """One vector of n i.i.d. offspring counts conditioned to sum to n-1."""
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
-    tables = law._bridge_tables.get(n)
-    if tables is None:
-        tables = _sum_pmf_tables(law.pmf(np.arange(n)))
-        law._bridge_tables[n] = tables
+    tables = _TABLES.get((law._table_key, n),
+                         lambda: _sum_pmf_tables(law.pmf(np.arange(n))))
     return _bridge(tables, rng)
 
 
@@ -92,7 +165,7 @@ def _bridge(tables: dict, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
     conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables."""
     n = tables[1].size
-    if tables[n][n - 1] <= 0.0:
+    if tables[n] <= 0.0:
         raise ValueError(
             f"total {n - 1} is unattainable by {n} draws from this law"
         )

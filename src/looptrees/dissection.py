@@ -314,8 +314,8 @@ def sample_boltzmann(law: OffspringLaw, n_leaves: int,
     n = int(n_leaves)
     mu = law.pmf(np.arange(n + 1))
     h = _block_pmf(mu)
-    # throwaway tables: law._bridge_tables holds size-conditioned tables
-    # under the same key n
+    # block tables are built per call and stay out of the bridge's cache,
+    # which holds size-conditioned tables of the offspring law itself
     totals = _bridge(_sum_pmf_tables(h), rng)
     counts = _expand_blocks(totals, mu, h, rng)
     # the walk's first minimum follows a leaf, so the shift moves whole blocks

@@ -68,8 +68,8 @@ def _map_replicates(fn, count: int):
     """Ordered results of fn(replicate_index), possibly in parallel.
 
     With several workers, replicate 0 runs first in the calling thread, so
-    that it alone fills the shared caches (the bridge tables) the others
-    then read.
+    that a cold bridge-table cache (shared by all laws, bounded in bytes) is
+    filled by it alone and then read by the others.
     """
     workers = _pool_size()
     if workers == 1 or count <= 1:

@@ -9,6 +9,7 @@ applies the cycle shift.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import namedtuple
@@ -16,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from ._bridge import sample_conditioned_steps
+from ._bridge import _TABLES, sample_conditioned_steps
 
 __all__ = [
     "OffspringLaw",
@@ -80,7 +81,10 @@ class OffspringLaw:
             raise ValueError(f"offspring mean is {mean!r}; the law must be critical")
         if self.forbids_unary and pmf.size > 1 and pmf[1] != 0.0:
             raise ValueError("forbids_unary set but mu_1 is nonzero")
-        self._bridge_tables: dict = {}
+        # the values that fix every atom: laws with equal keys have equal
+        # pmfs, so they share bridge tables (see _bridge)
+        self._table_key = (self.alpha, self._theta, self._support_start,
+                           hashlib.blake2b(pmf.tobytes(), digest_size=16).digest())
 
     def _beyond_table(self, moment: int) -> float:
         """Sum of k**moment * mu_k over the atoms k past the stored table
@@ -89,6 +93,12 @@ class OffspringLaw:
             return 0.0
         lo = max(self._pmf.size, self._support_start)
         return float(self._theta * _hurwitz_zeta(self.alpha + (1 - moment), lo))
+
+    @property
+    def _bridge_tables(self) -> dict:
+        """{n: tables} cached for this law's values; the benchmark's tracer
+        reads it."""
+        return _TABLES.by_length(self._table_key)
 
     # -- public surface -------------------------------------------------------
 

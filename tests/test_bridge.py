@@ -1,0 +1,189 @@
+"""The bridge's shared table cache, its FFT convolution and its
+attainability check."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import looptrees
+from looptrees import _bridge
+from looptrees._bridge import (
+    _EXACT_CONV_LIMIT,
+    _TableCache,
+    _sum_pmf_tables,
+    cache_info,
+    sample_conditioned_steps,
+)
+from looptrees.dissection import _block_pmf, sample_boltzmann
+from looptrees.gw_tree import OffspringLaw, stable_offspring
+
+
+@pytest.fixture
+def fresh_cache():
+    _bridge._TABLES.clear()
+    yield
+    _bridge._TABLES.clear()
+
+
+def _entry(floats: int):
+    return lambda: {1: np.zeros(floats)}
+
+
+def _refuse():
+    raise AssertionError("a cached key was built again")
+
+
+# ---- the shared cache ----
+
+def test_equal_laws_share_one_entry(fresh_cache):
+    a, b = stable_offspring(1.5), stable_offspring(1.5)
+    assert a is not b and a._table_key == b._table_key
+    xa = sample_conditioned_steps(a, 300, np.random.default_rng(1))
+    xb = sample_conditioned_steps(b, 300, np.random.default_rng(1))
+    info = cache_info()
+    assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
+    assert np.array_equal(xa, xb)
+    assert info["bytes"] == sum(t.nbytes for t in a._bridge_tables[300].values())
+    # a longer stored table is another key, with the same values
+    c = stable_offspring(1.5, cutoff=64)
+    assert c._table_key != a._table_key
+    xc = sample_conditioned_steps(c, 300, np.random.default_rng(1))
+    assert np.array_equal(xa, xc)
+    assert cache_info()["entries"] == 2
+    assert stable_offspring(1.5, "no-unary")._table_key != a._table_key
+    # stored tables of one length but other values are other keys
+    for probs in ([0.5, 0.0, 0.5], [0.25, 0.5, 0.25]):
+        x = sample_conditioned_steps(OffspringLaw.from_probabilities(probs), 301,
+                                     np.random.default_rng(1))
+        assert set(x.tolist()) <= {k for k, p in enumerate(probs) if p > 0}
+    assert cache_info()["entries"] == 4
+
+
+def test_eviction_drops_least_recently_used_bytes_first():
+    cache = _TableCache(limit=3 * 800)
+    for key in "abc":
+        cache.get(key, _entry(100))  # 800 bytes each
+    cache.get("a", _refuse)  # a is now the most recent
+    cache.get("d", _entry(100))
+    assert list(cache._entries) == ["c", "a", "d"]
+    assert cache.info() == {"hits": 1, "misses": 4, "entries": 3, "bytes": 2400}
+    cache.get("e", _entry(200))  # 1600 bytes push out c and then a
+    assert list(cache._entries) == ["d", "e"]
+    assert cache.info()["bytes"] == 2400
+
+
+def test_oversized_newest_entry_is_kept():
+    cache = _TableCache(limit=1000)
+    cache.get("small", _entry(100))
+    big = cache.get("big", _entry(1000))
+    assert list(cache._entries) == ["big"] and cache.info()["bytes"] == 8000
+    assert cache.get("big", _refuse) is big
+    cache.get("small", _entry(100))
+    assert list(cache._entries) == ["small"] and cache.info()["bytes"] == 800
+
+
+def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
+    builds = []
+
+    def counting(window):
+        builds.append(window.size)
+        return _sum_pmf_tables(window)
+
+    monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
+    law = stable_offspring(1.5)
+    n, workers = 5000, 4
+    barrier = threading.Barrier(workers, timeout=60)
+    out = [None] * workers
+
+    def draw(i):
+        barrier.wait()
+        out[i] = sample_conditioned_steps(law, n, np.random.default_rng(i))
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [n]
+    info = cache_info()
+    assert (info["hits"], info["misses"]) == (workers - 1, 1)
+    for i, x in enumerate(out):
+        assert np.array_equal(x, sample_conditioned_steps(law, n, np.random.default_rng(i)))
+
+
+# ---- the convolution tables ----
+
+@pytest.mark.parametrize("variant", ["generic", "no-unary"])
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_fft_convolution_matches_fftconvolve(alpha, variant):
+    from scipy.signal import fftconvolve  # the oracle; the package avoids it
+
+    law = stable_offspring(alpha, variant)
+    # 2 * 5063 - 1 = 3**4 * 5**3 is itself a fast length
+    for n in (_EXACT_CONV_LIMIT + 1, 5063, 30001):
+        tables = _sum_pmf_tables(law.pmf(np.arange(n)))
+        for m, table in tables.items():
+            if m in (1, n):
+                continue
+            a = (m + 1) // 2
+            want = np.clip(fftconvolve(tables[a], tables[m - a])[:n], 0.0, None)
+            assert np.array_equal(table, want), (n, m)
+            assert table.base is None  # owns its memory; pins no larger buffer
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000, _EXACT_CONV_LIMIT])
+def test_total_matches_full_table(n):
+    # tables[n] is the one value of S_n's pmf that the bridge reads, summed
+    # in another order than the full convolution
+    law = stable_offspring(1.5, "no-unary")
+    mu = law.pmf(np.arange(n + 1))
+    for window in (law.pmf(np.arange(n)), _block_pmf(mu)):
+        tables = _sum_pmf_tables(window)
+        a = (n + 1) // 2
+        full = np.convolve(tables[a], tables[n - a])[n - 1]
+        assert tables[n] == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert set(tables) == set(_bridge._half_sizes(n))
+
+
+def test_import_leaves_scipy_signal_out():
+    code = "import sys, looptrees; print('scipy.signal' in sys.modules)"
+    src = str(Path(looptrees.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ---- attainability above the exact-convolution limit ----
+
+def test_lattice_law_unattainable_above_limit():
+    # support {0, 3}: n draws sum to n - 1 only when 3 divides n - 1, and the
+    # FFT tables alone hold float noise where those zeros belong
+    law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
+    for n in (_EXACT_CONV_LIMIT + 1, 5000):
+        with pytest.raises(ValueError, match="unattainable"):
+            sample_conditioned_steps(law, n, np.random.default_rng(n))
+    x = sample_conditioned_steps(law, 5002, np.random.default_rng(0))
+    assert int(x.sum()) == 5001 and set(x.tolist()) <= {0, 3}
+
+
+def test_lattice_boltzmann_unattainable_above_limit():
+    # blocks of the same law carry even up-totals, so n_leaves - 1 must be even
+    law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
+    with pytest.raises(ValueError, match="unattainable"):
+        sample_boltzmann(law, 5000, np.random.default_rng(0))
+    d = sample_boltzmann(law, 5001, np.random.default_rng(0))
+    assert d.n_sides == 5002

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from looptrees._bridge import sample_conditioned_steps
+from looptrees._bridge import cache_info, sample_conditioned_steps
 from looptrees.gw_tree import (
     LukasiewiczPath,
     OffspringLaw,
@@ -152,11 +152,13 @@ def test_stable_offspring_cutoff_changes_no_value(alpha, variant):
 
 def test_default_stable_law_holds_no_table():
     # pmf and tail are formulas past mu_0 (and mu_1 = 0), so a default law
-    # stores a few bytes and no bridge table until a draw needs one
+    # stores a few bytes, and building one adds no bridge table to the
+    # shared cache until a draw needs one
     for variant in ("generic", "no-unary"):
+        before = cache_info()["entries"]
         law = stable_offspring(1.5, variant)
         assert law.probabilities.nbytes <= 64
-        assert law._bridge_tables == {}
+        assert cache_info()["entries"] == before
 
 
 def test_offspring_law_validation():
