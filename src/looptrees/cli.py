@@ -25,14 +25,25 @@ from .looptree import build_loop
 from .gw_tree import PlaneTree
 
 SAMPLE_KINDS = ("tree", "looptree", "dissection", "path")
-EXPERIMENTS = (
-    "dimension",
-    "interpolation-circle",
-    "interpolation-crt",
-    "max-jump",
-    "gh-sandwich",
-    "laplace-check",
-)
+# each experiment, and the keyword that each command-line option sets in it;
+# an option left unset is not passed, so the experiment's own default holds
+_RUNS = {
+    "dimension": (experiments.dimension_experiment, {
+        "alpha": "alpha", "n": "n", "replicates": "trees",
+        "window": "window", "tolerance": "tolerance"}),
+    "interpolation-circle": (experiments.interpolation_circle, {
+        "alpha": "alpha", "n": "n", "replicates": "replicates"}),
+    "interpolation-crt": (experiments.interpolation_crt, {
+        "alpha": "alpha", "n": "n", "replicates": "paths",
+        "tolerance": "tolerance"}),
+    "max-jump": (experiments.max_jump_experiment, {
+        "alpha": "alpha", "n": "n", "replicates": "replicates",
+        "tolerance": "tolerance"}),
+    "gh-sandwich": (experiments.gh_sandwich, {
+        "alpha": "alpha", "n": "max_leaves", "replicates": "n_dissections"}),
+    "laplace-check": (experiments.laplace_check, {"n": "n_samples"}),
+}
+EXPERIMENTS = tuple(_RUNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,71 +217,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _experiment_report(args: argparse.Namespace) -> dict:
-    name = args.name
-    seed = args.seed
-
-    def pick(value, fallback):
-        return fallback if value is None else value
-
-    if name == "laplace-check":
-        return experiments.laplace_check(
-            n_samples=pick(args.n, 10**6), seed=seed
-        )
-    if name == "max-jump":
-        kw = {}
-        if args.tolerance is not None:
-            kw["tolerance"] = args.tolerance
-        return experiments.max_jump_experiment(
-            alpha=pick(args.alpha, 1.5),
-            n=pick(args.n, 10**5),
-            replicates=pick(args.replicates, 500),
-            seed=seed,
-            **kw,
-        )
-    if name == "dimension":
-        kw = {}
-        if args.window is not None:
-            kw["window"] = tuple(args.window)
-        if args.tolerance is not None:
-            kw["tolerance"] = args.tolerance
-        return experiments.dimension_experiment(
-            alpha=pick(args.alpha, 1.5),
-            n=pick(args.n, 10**6),
-            trees=pick(args.replicates, 10),
-            seed=seed,
-            **kw,
-        )
-    if name == "interpolation-circle":
-        return experiments.interpolation_circle(
-            alpha=pick(args.alpha, 1.05),
-            n=pick(args.n, 10**5),
-            replicates=pick(args.replicates, 50),
-            seed=seed,
-        )
-    if name == "interpolation-crt":
-        kw = {}
-        if args.tolerance is not None:
-            kw["tolerance"] = args.tolerance
-        return experiments.interpolation_crt(
-            alpha=pick(args.alpha, 1.95),
-            n=pick(args.n, 10**5),
-            paths=pick(args.replicates, 50),
-            seed=seed,
-            **kw,
-        )
-    if name == "gh-sandwich":
-        return experiments.gh_sandwich(
-            alpha=pick(args.alpha, 1.5),
-            n_dissections=pick(args.replicates, 200),
-            max_leaves=pick(args.n, 300),
-            seed=seed,
-        )
-    raise ValueError(f"unknown experiment {name!r}")
-
-
-# the option behind each experiment keyword that a ConfigError can name
-_FLAGS = {"n": "--n", "window": "--window", "trees": "--replicates",
-          "paths": "--replicates", "max_leaves": "--n"}
+    run, keywords = _RUNS[args.name]
+    kw = {key: getattr(args, opt) for opt, key in keywords.items()
+          if getattr(args, opt) is not None}
+    return run(seed=args.seed, **kw)
 
 
 def _plot_rows(report: dict) -> list[str]:
@@ -349,7 +299,8 @@ def main(argv=None) -> int:
         try:
             return _cmd_experiment(args)
         except experiments.ConfigError as exc:
-            parser.error(f"argument {_FLAGS.get(exc.param, exc.param)}: {exc}")
+            flags = {key: "--" + opt for opt, key in _RUNS[args.name][1].items()}
+            parser.error(f"argument {flags.get(exc.param, exc.param)}: {exc}")
     return _cmd_layout(args)
 
 

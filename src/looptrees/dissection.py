@@ -3,13 +3,14 @@
 Polygon vertices are 0..n_sides-1 counterclockwise.  The side from 0 to 1 is
 the root side: the face containing it becomes the root of the dual tree, and
 walking a face counterclockwise lists the sub-regions that become its
-children in order.  Internally the walk uses coordinates 1..n with vertex n
-standing for polygon vertex 0, so every region is an increasing pair.
+children in order.  A region is the part of the polygon beyond one side or
+chord.  Internally the walk uses coordinates 1..n with vertex n standing for
+polygon vertex 0, so every region is an increasing pair (lo, hi).  The
+regions nest like intervals, so one sort of them gives the dual tree.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 
@@ -149,54 +150,29 @@ def _check_crossings(chords: np.ndarray) -> None:
         stack.append((c, d))
 
 
-def _walk_adjacency(d: Dissection):
-    """Sorted higher-endpoint neighbor lists in walk coordinates 1..n.
+def _dual_with_regions(d: Dissection):
+    """Children counts of the dual tree, and each vertex's region as a row
+    (lo, hi) of walk coordinates, in depth-first order.
 
-    Walk coordinate n stands for polygon vertex 0.  The root side (0, 1) is
-    omitted on purpose: it is the removed dual edge.
+    The regions are the root side (1, n), the other sides and the chords.
+    They nest, so depth-first order sorts them by lo, the longer first.
     """
     n = d.n_sides
-    nbr = [[] for _ in range(n + 1)]
-    for v in range(1, n):
-        nbr[v].append(v + 1)  # sides (v, v+1), including (n-1, n)
-    for a, b in d.chords.tolist():
-        wa = a if a >= 1 else n
-        wb = b if b >= 1 else n
-        lo, hi = min(wa, wb), max(wa, wb)
-        nbr[lo].append(hi)
-    for v in range(1, n + 1):
-        nbr[v].sort()
-    return nbr
-
-
-def _dual_with_regions(d: Dissection):
-    """Children counts of the dual tree plus each vertex's region (a, b)."""
-    n = d.n_sides
-    nbr = _walk_adjacency(d)
-    counts = []
-    regions = []
-    stack = [(1, n)]
-    while stack:
-        a, b = stack.pop()
-        regions.append((a, b))
-        if b == a + 1:
-            counts.append(0)
-            continue
-        corners = [a]
-        z = a
-        while z != b:
-            cand = nbr[z]
-            k = bisect.bisect_right(cand, b) - 1
-            w = cand[k]
-            if w == b and z == a:
-                # the delimiting chord itself; take the next one down
-                w = cand[k - 1]
-            corners.append(w)
-            z = w
-        counts.append(len(corners) - 1)
-        for t in range(len(corners) - 1, 0, -1):
-            stack.append((corners[t - 1], corners[t]))
-    return np.array(counts, dtype=np.int64), regions
+    a, b = d.chords[:, 0], d.chords[:, 1]
+    side = np.arange(1, n)
+    lo = np.concatenate(([1], side, np.where(a == 0, b, a)))
+    hi = np.concatenate(([n], side + 1, np.where(a == 0, n, b)))
+    order = np.lexsort((-hi, lo))
+    lo, hi = lo[order], hi[order]
+    m = lo.size
+    t = np.arange(m)
+    # every earlier region is an ancestor or ends at or before lo
+    depth = t - np.searchsorted(np.sort(hi), lo, side="right")
+    # the parent of t is the latest earlier region one level up
+    keys = np.sort(depth * m + t)
+    parent = keys[np.searchsorted(keys, (depth[1:] - 1) * m + t[1:]) - 1] % m
+    counts = np.bincount(parent, minlength=m)
+    return counts, np.column_stack([lo, hi])
 
 
 def dual_tree(d: Dissection) -> PlaneTree:
@@ -220,7 +196,9 @@ def from_dual(tree: PlaneTree) -> Dissection:
         raise ValueError("the dual construction needs at least 2 leaves")
     n = n_leaves + 1
     chords = []
-    # depth-first sweep; each open vertex remembers its first leaf's rank
+    # depth-first sweep; each open vertex remembers its first leaf's rank.
+    # sample_boltzmann calls this once per draw, mostly on a few leaves,
+    # where a loop costs less than the fixed cost of array calls
     leaf_rank = 0
     stack = []  # entries [vertex, first_leaf_rank, children_left]
     for v, k in enumerate(counts.tolist()):
@@ -335,23 +313,22 @@ def gh_gap_check(d: Dissection):
 
 
 def _dual_gap(d: Dissection):
-    """gh_gap_check's two results, then the dual tree's walk and its corner
-    matrix: the build_loop distances between the corners of tree vertices
-    1..n-1, taken from the walk."""
+    """gh_gap_check's two results, then the dual tree's height, its walk and
+    its corner matrix: the build_loop distances between the corners of tree
+    vertices 1..n-1, taken from the walk."""
     counts, regions = _dual_with_regions(d)
     path = LukasiewiczPath(counts - 1)
     corner = np.arange(1, path.n)
     loop_dist = loop_distances(path, corner[:, None], corner[None, :],
                                root_cycle=int(counts[0]))
-    n = d.n_sides
     poly_dist = d.graph_distances()
-    # endpoints in polygon labels; skip the root (its region is the root side)
-    ends = np.array([(a % n, b % n) for a, b in regions[1:]], dtype=np.int64)
-    px = np.concatenate([ends[:, 0], ends[:, 1]])
+    # endpoints in polygon labels, lo ends then hi ends; skip the root (its
+    # region is the root side)
+    px = (regions[1:] % d.n_sides).T.ravel()
     gx = np.concatenate([corner, corner]) - 1
     dis = np.abs(
         poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]
     ).max()
-    height = path._ensure_index().depth.max()
+    height = int(path._ensure_index().depth.max())
     observed = dis / 2.0
-    return observed <= height + 2, float(observed), path, loop_dist
+    return observed <= height + 2, float(observed), height, path, loop_dist

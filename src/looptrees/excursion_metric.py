@@ -38,7 +38,7 @@ class JumpPath:
     __slots__ = ("times", "values", "jumps", "left_limits", "scale",
                  "source_size", "_parent")
 
-    def __init__(self, values, scale: float = 1.0, times=None):
+    def __init__(self, values, scale: float = 1.0):
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d sequence of length >= 2")
@@ -49,13 +49,7 @@ class JumpPath:
         if vals.size > 2 and vals[1:-1].min() < 0.0:
             raise ValueError("values must be nonnegative before the endpoint")
         n = vals.size - 1
-        if times is None:
-            times = np.arange(n + 1) / n
-        else:
-            times = np.asarray(times, dtype=float)
-            if times.shape != vals.shape or np.any(np.diff(times) <= 0):
-                raise ValueError("times must increase and match values in length")
-        self.times = times
+        self.times = np.arange(n + 1) / n
         self.values = vals
         self.jumps = np.concatenate(([0.0], np.maximum(np.diff(vals), 0.0)))
         self.left_limits = self.values - self.jumps

@@ -51,6 +51,13 @@ class ConfigError(ValueError):
         self.param = param
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise a ConfigError naming the first count below 1."""
+    for param, value in counts.items():
+        if value < 1:
+            raise ConfigError(param, f"{param} must be at least 1, got {value}")
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
     """Independent reproducible substream for one replicate."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))
@@ -89,6 +96,7 @@ def _stderr(vals: np.ndarray):
 def laplace_check(alphas=(1.2, 1.5, 1.8), lams=(0.1, 0.5, 1.0),
                   n_samples: int = 10**6, seed: int = 0) -> dict:
     """Monte-Carlo check of E[exp(-lam X_1)] = exp(lam^alpha)."""
+    _check_counts(n_samples=n_samples)
     rows = []
     zs = []
     for k, alpha in enumerate(alphas):
@@ -125,6 +133,7 @@ def max_jump_experiment(alpha: float = 1.5, n: int = 10**5,
                         replicates: int = 500, seed: int = 0,
                         tolerance: float = 0.05) -> dict:
     """Mean largest rescaled jump against the analytic target."""
+    _check_counts(replicates=replicates)
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
 
@@ -161,6 +170,7 @@ def dimension_experiment(alpha: float = 1.5, n: int = 10**6,
                          window=None, seed: int = 0,
                          tolerance: float = 0.15) -> dict:
     """Volume-growth slope of big looptrees, pooled over many centers."""
+    _check_counts(centers_per_tree=centers_per_tree)
     if trees * centers_per_tree < MIN_CENTERS:
         raise ConfigError(
             "trees",
@@ -251,9 +261,10 @@ def interpolation_circle(alpha: float = 1.05, n: int = 10**5,
     """Near alpha = 1 the looptree is dominated by one macroscopic loop:
     the largest jump carries most of the mass and the space looks like a
     circle of circumference 1."""
+    limit = replicates if gh_paths is None else gh_paths
+    _check_counts(replicates=replicates, gh_paths=limit, anchors=anchors)
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
-    limit = replicates if gh_paths is None else gh_paths
 
     def one(i: int):
         tree = sample_conditioned_tree(law, n, stream(seed, i))
@@ -284,6 +295,7 @@ def interpolation_crt(alpha: float = 1.95, n: int = 10**5,
                       seed: int = 0, tolerance: float = 0.05) -> dict:
     """Near alpha = 2 loops degenerate and distances halve: the distance
     from the root to a uniform time is about half the walk value there."""
+    _check_counts(paths=paths, draws=draws)
     if n < 3:
         raise ConfigError(
             "n", f"needs n >= 3, so that some time in 1..n-1 can have a "
@@ -328,6 +340,7 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
                 max_leaves: int = 300, seed: int = 0) -> dict:
     """Height bound for dissections against their dual looptrees, plus the
     Loop/Loop' corner correspondence on the same trees."""
+    _check_counts(n_dissections=n_dissections)
     if max_leaves < 2:
         raise ConfigError("max_leaves",
                           f"a dissection needs at least 2 leaves, got {max_leaves}")
@@ -337,8 +350,7 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
         rng = stream(seed, i)
         n_leaves = int(rng.integers(2, max_leaves + 1))
         d = sample_boltzmann(law, n_leaves, rng)
-        ok, observed, path, dl = _dual_gap(d)
-        height = int(path._ensure_index().depth.max())
+        ok, observed, height, path, dl = _dual_gap(d)
         # corner pairing between Loop and Loop': the root goes with the
         # first corner, row 0 of the corner matrix
         nt = path.n

@@ -1,13 +1,16 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
-and the i.i.d. offspring sampler that the rejection oracles draw from."""
+the i.i.d. offspring sampler that the rejection oracles draw from, and the
+chord-walk oracle for the dual tree of a dissection."""
 
 from __future__ import annotations
 
+import bisect
 import weakref
 
 import numpy as np
 import pytest
 
+from looptrees.dissection import Dissection
 from looptrees.gw_tree import OffspringLaw, PlaneTree
 
 # atoms the oracle tabulates for inverse-transform sampling; a draw beyond
@@ -45,6 +48,58 @@ def invert_tail(law: OffspringLaw, u: float) -> int:
     while law.tail(k + 1) >= residual:
         k += 1
     return int(k)
+
+
+def walk_adjacency(d: Dissection):
+    """Sorted higher-endpoint neighbor lists in walk coordinates 1..n.
+
+    Walk coordinate n stands for polygon vertex 0.  The root side (0, 1) is
+    omitted on purpose: it is the removed dual edge.
+    """
+    n = d.n_sides
+    nbr = [[] for _ in range(n + 1)]
+    for v in range(1, n):
+        nbr[v].append(v + 1)  # sides (v, v+1), including (n-1, n)
+    for a, b in d.chords.tolist():
+        wa = a if a >= 1 else n
+        wb = b if b >= 1 else n
+        lo, hi = min(wa, wb), max(wa, wb)
+        nbr[lo].append(hi)
+    for v in range(1, n + 1):
+        nbr[v].sort()
+    return nbr
+
+
+def dual_by_chord_walk(d: Dissection):
+    """Oracle for dissection._dual_with_regions: children counts of the dual
+    tree plus each vertex's region (a, b), from a depth-first search that
+    walks each face counterclockwise along its sides and chords."""
+    n = d.n_sides
+    nbr = walk_adjacency(d)
+    counts = []
+    regions = []
+    stack = [(1, n)]
+    while stack:
+        a, b = stack.pop()
+        regions.append((a, b))
+        if b == a + 1:
+            counts.append(0)
+            continue
+        corners = [a]
+        z = a
+        while z != b:
+            cand = nbr[z]
+            k = bisect.bisect_right(cand, b) - 1
+            w = cand[k]
+            if w == b and z == a:
+                # the delimiting chord itself; take the next one down
+                w = cand[k - 1]
+            corners.append(w)
+            z = w
+        counts.append(len(corners) - 1)
+        for t in range(len(corners) - 1, 0, -1):
+            stack.append((corners[t - 1], corners[t]))
+    return np.array(counts, dtype=np.int64), regions
 
 
 def enumerate_plane_trees(n: int) -> list[PlaneTree]:

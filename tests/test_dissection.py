@@ -15,6 +15,7 @@ from looptrees.dissection import (
     Dissection,
     _block_pmf,
     _check_crossings,
+    _dual_with_regions,
     dual_tree,
     from_dual,
     gh_gap_check,
@@ -27,7 +28,7 @@ from looptrees.gw_tree import (
     tree_stats,
 )
 
-from conftest import sample_offspring
+from conftest import dual_by_chord_walk, sample_offspring
 
 
 @pytest.mark.parametrize("bad,word", [
@@ -96,6 +97,44 @@ def test_fan_triangulation_round_trip():
     assert tree_stats(tree).leaf_count == 5
     assert tree.size == 9
     assert from_dual(tree) == fan
+
+
+def _tree_from_draws(root: int, draws) -> PlaneTree:
+    """Plane tree with ``root`` children at the root and ``draws`` as the
+    next children counts in depth-first order, cut where the walk closes or
+    padded with leaves until it does."""
+    counts, walk = [root], root - 1
+    for c in draws:
+        if walk < 0:
+            break
+        counts.append(c)
+        walk += c - 1
+    return PlaneTree(counts + [0] * (walk + 1))
+
+
+def _sampled_dissection(alpha: float, n_leaves: int, seed: int) -> Dissection:
+    law = stable_offspring(alpha, "no-unary")
+    return sample_boltzmann(law, n_leaves, np.random.default_rng(seed))
+
+
+dissections = st.one_of(
+    st.builds(_sampled_dissection, st.floats(1.05, 1.95),
+              st.integers(2, 300), st.integers(0, 2**32 - 1)),
+    st.sampled_from([Dissection(3), Dissection(4)]),
+    # a fan from polygon vertex 0, which is walk coordinate n
+    st.integers(4, 40).map(lambda n: Dissection(n, [(0, k) for k in range(2, n - 1)])),
+    st.builds(_tree_from_draws, st.integers(2, 6),
+              st.lists(st.sampled_from([0, 0, 2, 3, 7]), max_size=80)).map(from_dual),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=dissections)
+def test_dual_with_regions_matches_chord_walk_oracle(d):
+    counts, regions = _dual_with_regions(d)
+    want_counts, want_regions = dual_by_chord_walk(d)
+    assert np.array_equal(counts, want_counts)
+    assert regions.tolist() == [list(r) for r in want_regions]
 
 
 def test_from_dual_rejects_bad_trees():

@@ -21,11 +21,7 @@ from looptrees.experiments import (
     max_jump_experiment,
     stream,
 )
-from looptrees.dissection import (
-    _dual_with_regions,
-    gh_gap_check,
-    sample_boltzmann,
-)
+from looptrees.dissection import gh_gap_check, sample_boltzmann
 from looptrees.gw_tree import (
     PlaneTree,
     sample_conditioned_tree,
@@ -33,6 +29,8 @@ from looptrees.gw_tree import (
     tree_stats,
 )
 from looptrees.looptree import build_loop, build_loop_prime
+
+from conftest import dual_by_chord_walk
 
 
 def bfs_circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
@@ -57,7 +55,7 @@ def bfs_sandwich_row(d) -> dict:
     """Oracle: one gh_sandwich row, with the gap check, the dual tree and
     both loop metrics rebuilt from scratch and measured by breadth-first
     search on the loop graphs."""
-    counts, regions = _dual_with_regions(d)
+    counts, regions = dual_by_chord_walk(d)
     tree = PlaneTree(counts)
     n = d.n_sides
     loop_dist = build_loop(tree).distances()
@@ -209,6 +207,25 @@ def test_dimension_rejects_unfittable_arguments_before_sampling(kw, param):
     t0 = time.perf_counter()
     with pytest.raises(ConfigError) as info:
         dimension_experiment(alpha=1.5, **kw)
+    assert info.value.param == param
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("run, param", [
+    (max_jump_experiment, "replicates"),
+    (interpolation_circle, "replicates"),
+    (interpolation_circle, "gh_paths"),
+    (interpolation_circle, "anchors"),
+    (dimension_experiment, "centers_per_tree"),
+    (interpolation_crt, "paths"),
+    (interpolation_crt, "draws"),
+    (laplace_check, "n_samples"),
+    (gh_sandwich, "n_dissections"),
+])
+def test_counts_below_one_fail_before_sampling(run, param):
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match=param) as info:
+        run(**{param: 0})
     assert info.value.param == param
     assert time.perf_counter() - t0 < 1.0
 
