@@ -10,6 +10,12 @@ costs O(n log n).  They are built once and kept in one cache shared by all
 laws: laws with equal values share an entry (see OffspringLaw._table_key),
 and the cache holds at most _TABLE_CACHE_BYTES, least recently used out
 first.
+
+The split itself (each level's segment sizes, their grouping by size and
+their order) depends on n alone.  It is built once per n as a split plan,
+kept in the same cache under a key of n alone and so shared by every law and
+by the block tables of sample_boltzmann; a sample then only computes the
+segment totals and draws.
 """
 
 from __future__ import annotations
@@ -25,38 +31,58 @@ __all__ = ["sample_conditioned_steps"]
 # below this the quadratic convolution is cheap and exact to the last bit,
 # which the small-size distribution tests rely on
 _EXACT_CONV_LIMIT = 4096
-# bytes of bridge tables kept across calls; the newest entry stays even when
-# it alone is larger, so any n still samples
+# bytes of bridge tables and split plans kept across calls; the newest entry
+# stays even when it alone is larger, so any n still samples
 _TABLE_CACHE_BYTES = 128 * 2**20
+# a group of segments at least this long on average forms its weights slice
+# by slice; shorter ones gather them through index arrays
+_LONG_SEGMENTS = 128
 
 
 class _TableCache:
-    """Bridge tables by (law key, n), dropping the least recently used entry
-    while they hold more than ``limit`` bytes.  A miss builds under the lock,
-    so threads that miss together build once."""
+    """Bridge tables by (law key, n), and split plans by (None, n), dropping
+    the least recently used entry while they hold more than ``limit`` bytes.
+    A miss builds under the lock, so threads that miss together build
+    once."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self._entries: OrderedDict = OrderedDict()  # key -> (tables, bytes)
         self._lock = threading.Lock()
         self.hits = self.misses = self.bytes = 0
+        self._last_plan = (0, None)  # (n, plan) of the size asked last
 
     def get(self, key, build):
         """The tables under ``key``, from ``build()`` on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            return self._get(key, build)
+
+    def plan(self, n: int) -> list:
+        """The split plan of n (see _split_plan).  The plan of the size asked
+        last stays held here after tables that alone fill the cache push its
+        entry out, so that the two do not evict each other on every sample
+        of one size."""
+        with self._lock:
+            if self._last_plan[0] == n:
                 self.hits += 1
-                self._entries.move_to_end(key)
-                return entry[0]
-            self.misses += 1
-            tables = build()
-            size = sum(t.nbytes for t in tables.values())
-            self._entries[key] = (tables, size)
-            self.bytes += size
-            while self.bytes > self.limit and len(self._entries) > 1:
-                self.bytes -= self._entries.popitem(last=False)[1][1]
-            return tables
+            else:
+                self._last_plan = (n, self._get((None, n), lambda: _split_plan(n)))
+            return self._last_plan[1]
+
+    def _get(self, key, build):
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry[0]
+        self.misses += 1
+        tables = build()
+        size = _nbytes(tables)
+        self._entries[key] = (tables, size)
+        self.bytes += size
+        while self.bytes > self.limit and len(self._entries) > 1:
+            self.bytes -= self._entries.popitem(last=False)[1][1]
+        return tables
 
     def by_length(self, law_key) -> dict:
         """{n: tables} of the entries cached for one law key."""
@@ -72,9 +98,20 @@ class _TableCache:
         with self._lock:
             self._entries.clear()
             self.hits = self.misses = self.bytes = 0
+            self._last_plan = (0, None)
 
 
 _TABLES = _TableCache(_TABLE_CACHE_BYTES)
+
+
+def _nbytes(obj) -> int:
+    """Bytes of the arrays and numpy scalars in a nest of dicts, lists and
+    tuples."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_nbytes, obj))
+    return getattr(obj, "nbytes", 0)
 
 
 def cache_info() -> dict:
@@ -139,9 +176,12 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
     """One vector of n i.i.d. offspring counts conditioned to sum to n-1."""
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
+    # the plan first: tables that alone fill the cache then push out its
+    # entry, which the cache still holds as the plan of the size asked last
+    plan = _TABLES.plan(n)
     tables = _TABLES.get((law._table_key, n),
                          lambda: _sum_pmf_tables(law.pmf(np.arange(n))))
-    return _bridge(tables, rng)
+    return _bridge(tables, plan, rng)
 
 
 def _draw_in_segments(w: np.ndarray, offsets: np.ndarray,
@@ -161,52 +201,74 @@ def _draw_in_segments(w: np.ndarray, offsets: np.ndarray,
     return np.clip(g, offsets[:-1], ends) - offsets[:-1]
 
 
-def _bridge(tables: dict, rng: np.random.Generator) -> np.ndarray:
+def _split_plan(n: int) -> list:
+    """The dyadic split of n positions, level by level: everything about it
+    that depends on n alone.  Each level is (leaf_at, leaf_out, groups):
+    the level's size-1 segments, as indices into its totals, and their
+    positions in the output; then one (a, b, sel) per segment size m >= 2,
+    ascending, where sel indexes the level's segments of size m and a + b = m
+    are the sizes of their halves.  The next level's segments are the lefts
+    and then the rights of each group in turn."""
+    levels = []
+    size = np.array([n])
+    start = np.zeros(1, dtype=np.int32)
+    while size.size:
+        leaves = np.flatnonzero(size == 1)
+        groups, next_size, next_start = [], [], []
+        # at most two distinct sizes occur per level, so this loop is short
+        for m in np.unique(size[size > 1]).tolist():
+            sel = np.flatnonzero(size == m)
+            a = (m + 1) // 2
+            groups.append((a, m - a, sel.astype(np.int32)))
+            next_size += [np.full(sel.size, a), np.full(sel.size, m - a)]
+            next_start += [start[sel], start[sel] + a]
+        levels.append((leaves.astype(np.int32), start[leaves], groups))
+        if not groups:
+            break
+        size = np.concatenate(next_size)
+        start = np.concatenate(next_start)
+    return levels
+
+
+def _segment_weights(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
+                     ramp: np.ndarray):
+    """The weights pa[j] * pb[t_i - j], j = 0..t_i, of every segment i laid
+    end to end, and the segments' offsets into them."""
+    lengths = t + 1
+    offsets = np.zeros(t.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = int(offsets[-1])
+    if flat >= _LONG_SEGMENTS * t.size:
+        # few long segments: a product of two slices each, with no indices
+        w = np.empty(flat)
+        for o, ti in zip(offsets.tolist(), t.tolist()):
+            np.multiply(pa[:ti + 1], pb[ti::-1], out=w[o:o + ti + 1])
+        return w, offsets
+    j = ramp[:flat] - np.repeat(offsets[:-1], lengths)
+    return pa[j] * pb[np.repeat(t, lengths) - j], offsets
+
+
+def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
-    conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables."""
+    conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
+    ``plan`` from _split_plan(n)."""
     n = tables[1].size
     if tables[n] <= 0.0:
         raise ValueError(
             f"total {n - 1} is unattainable by {n} draws from this law"
         )
-
-    out = np.zeros(n, dtype=np.int64)
-    size = np.array([n], dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
     total = np.array([n - 1], dtype=np.int64)
-    start = np.zeros(1, dtype=np.int64)
-
-    while size.size:
-        leaves = size == 1
-        if np.any(leaves):
-            out[start[leaves]] = total[leaves]
-        active = np.flatnonzero(~leaves)
-        if active.size == 0:
-            break
-        sz = size[active]
-        next_size = []
-        next_total = []
-        next_start = []
-        # at most two distinct sizes occur per level, so this loop is short
-        for m in np.unique(sz):
-            sel = active[sz == m]
-            a = int((m + 1) // 2)
-            b = int(m - a)
-            pa, pb = tables[a], tables[b]
+    ramp = np.arange(2 * n)
+    for leaf_at, leaf_out, groups in plan:
+        if leaf_at.size:
+            out[leaf_out] = total[leaf_at]
+        parts = []
+        for a, b, sel in groups:
             t = total[sel]
-            lengths = t + 1
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
-            j_flat = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
-            t_flat = np.repeat(t, lengths)
-            w = pa[j_flat] * pb[t_flat - j_flat]
+            w, offsets = _segment_weights(tables[a], tables[b], t, ramp)
             j = _draw_in_segments(w, offsets, rng)
-            next_size.append(np.full(sel.size, a, dtype=np.int64))
-            next_total.append(j)
-            next_start.append(start[sel])
-            next_size.append(np.full(sel.size, b, dtype=np.int64))
-            next_total.append(t - j)
-            next_start.append(start[sel] + a)
-        size = np.concatenate(next_size)
-        total = np.concatenate(next_total)
-        start = np.concatenate(next_start)
-
+            parts += [j, t - j]
+        if parts:
+            total = np.concatenate(parts)
     return out

@@ -4,7 +4,8 @@ layouts.
 Every emitted file starts with a header block (JSON key or comment lines)
 echoing the artifact version, the seed, and the full configuration, so a
 report can be traced back to the exact invocation.  Exit status is 0 when
-all in-run checks pass and 1 otherwise.
+all in-run checks pass and 1 otherwise; a bad option value, or an option the
+chosen command does not take, fails in one line with status 2.
 """
 
 from __future__ import annotations
@@ -290,9 +291,25 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_untaken(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace) -> None:
+    """Fail on an option the chosen command would ignore."""
+    if args.command == "sample":
+        what, takes = args.kind, ("alpha", "n")
+    elif args.command == "experiment":
+        what, takes = args.name, _RUNS[args.name][1]
+    else:
+        return
+    # the options that stay None unless given
+    for opt in ("alpha", "n", "replicates", "window", "tolerance"):
+        if getattr(args, opt, None) is not None and opt not in takes:
+            parser.error(f"argument --{opt}: {args.command} {what} does not take it")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _reject_untaken(parser, args)
     if args.command == "sample":
         return _cmd_sample(args)
     if args.command == "experiment":

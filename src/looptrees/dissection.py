@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ._bridge import _bridge, _draw_in_segments, _sum_pmf_tables
+from ._bridge import _TABLES, _bridge, _draw_in_segments, _sum_pmf_tables
 from .gw_tree import LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift
 from .looptree import loop_distances
 
@@ -293,8 +293,9 @@ def sample_boltzmann(law: OffspringLaw, n_leaves: int,
     mu = law.pmf(np.arange(n + 1))
     h = _block_pmf(mu)
     # block tables are built per call and stay out of the bridge's cache,
-    # which holds size-conditioned tables of the offspring law itself
-    totals = _bridge(_sum_pmf_tables(h), rng)
+    # which holds size-conditioned tables of the offspring law itself and
+    # the split plan of n that every law shares
+    totals = _bridge(_sum_pmf_tables(h), _TABLES.plan(n), rng)
     counts = _expand_blocks(totals, mu, h, rng)
     # the walk's first minimum follows a leaf, so the shift moves whole blocks
     return from_dual(PlaneTree(_cycle_shift(counts - 1) + 1))

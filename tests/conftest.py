@@ -1,6 +1,7 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
-the i.i.d. offspring sampler that the rejection oracles draw from, and the
-chord-walk oracle for the dual tree of a dissection."""
+the i.i.d. offspring sampler that the rejection oracles draw from, the
+chord-walk oracle for the dual tree of a dissection, and the level-by-level
+oracle for the bridge."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from looptrees._bridge import _draw_in_segments
 from looptrees.dissection import Dissection
 from looptrees.gw_tree import OffspringLaw, PlaneTree
 
@@ -100,6 +102,59 @@ def dual_by_chord_walk(d: Dissection):
         for t in range(len(corners) - 1, 0, -1):
             stack.append((corners[t - 1], corners[t]))
     return np.array(counts, dtype=np.int64), regions
+
+
+def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
+    """Oracle for _bridge._bridge, which it equals draw for draw, finding
+    each level's segment sizes and order again on every call: n i.i.d.
+    draws from the pmf window ``tables[1]`` (of length n >= 2) conditioned
+    to sum to n-1; ``tables`` comes from _sum_pmf_tables."""
+    n = tables[1].size
+    if tables[n] <= 0.0:
+        raise ValueError(
+            f"total {n - 1} is unattainable by {n} draws from this law"
+        )
+
+    out = np.zeros(n, dtype=np.int64)
+    size = np.array([n], dtype=np.int64)
+    total = np.array([n - 1], dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+
+    while size.size:
+        leaves = size == 1
+        if np.any(leaves):
+            out[start[leaves]] = total[leaves]
+        active = np.flatnonzero(~leaves)
+        if active.size == 0:
+            break
+        sz = size[active]
+        next_size = []
+        next_total = []
+        next_start = []
+        # at most two distinct sizes occur per level, so this loop is short
+        for m in np.unique(sz):
+            sel = active[sz == m]
+            a = int((m + 1) // 2)
+            b = int(m - a)
+            pa, pb = tables[a], tables[b]
+            t = total[sel]
+            lengths = t + 1
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            j_flat = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
+            t_flat = np.repeat(t, lengths)
+            w = pa[j_flat] * pb[t_flat - j_flat]
+            j = _draw_in_segments(w, offsets, rng)
+            next_size.append(np.full(sel.size, a, dtype=np.int64))
+            next_total.append(j)
+            next_start.append(start[sel])
+            next_size.append(np.full(sel.size, b, dtype=np.int64))
+            next_total.append(t - j)
+            next_start.append(start[sel] + a)
+        size = np.concatenate(next_size)
+        total = np.concatenate(next_total)
+        start = np.concatenate(next_start)
+
+    return out
 
 
 def enumerate_plane_trees(n: int) -> list[PlaneTree]:

@@ -1,5 +1,5 @@
-"""The bridge's shared table cache, its FFT convolution and its
-attainability check."""
+"""The bridge's shared table cache, its split plan, its FFT convolution and
+its attainability check."""
 
 from __future__ import annotations
 
@@ -11,18 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import looptrees
 from looptrees import _bridge
 from looptrees._bridge import (
     _EXACT_CONV_LIMIT,
     _TableCache,
+    _nbytes,
+    _split_plan,
     _sum_pmf_tables,
     cache_info,
     sample_conditioned_steps,
 )
 from looptrees.dissection import _block_pmf, sample_boltzmann
 from looptrees.gw_tree import OffspringLaw, stable_offspring
+
+from conftest import bridge_by_levels
 
 
 @pytest.fixture
@@ -47,23 +53,64 @@ def test_equal_laws_share_one_entry(fresh_cache):
     assert a is not b and a._table_key == b._table_key
     xa = sample_conditioned_steps(a, 300, np.random.default_rng(1))
     xb = sample_conditioned_steps(b, 300, np.random.default_rng(1))
+    # each sample looks up the split plan of n and then its law's tables
     info = cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
+    assert (info["hits"], info["misses"], info["entries"]) == (2, 2, 2)
     assert np.array_equal(xa, xb)
-    assert info["bytes"] == sum(t.nbytes for t in a._bridge_tables[300].values())
+    tables = a._bridge_tables
+    assert list(tables) == [300]  # the plan is no law's table
+    assert info["bytes"] == (sum(t.nbytes for t in tables[300].values())
+                             + _nbytes(_split_plan(300)))
     # a longer stored table is another key, with the same values
     c = stable_offspring(1.5, cutoff=64)
     assert c._table_key != a._table_key
     xc = sample_conditioned_steps(c, 300, np.random.default_rng(1))
     assert np.array_equal(xa, xc)
-    assert cache_info()["entries"] == 2
+    assert cache_info()["entries"] == 3
     assert stable_offspring(1.5, "no-unary")._table_key != a._table_key
     # stored tables of one length but other values are other keys
     for probs in ([0.5, 0.0, 0.5], [0.25, 0.5, 0.25]):
         x = sample_conditioned_steps(OffspringLaw.from_probabilities(probs), 301,
                                      np.random.default_rng(1))
         assert set(x.tolist()) <= {k for k, p in enumerate(probs) if p > 0}
-    assert cache_info()["entries"] == 4
+    # two tables and one plan of n = 301
+    assert cache_info()["entries"] == 6
+
+
+def test_second_law_at_one_size_builds_no_second_plan(fresh_cache, monkeypatch):
+    plans = []
+
+    def counting(n):
+        plans.append(n)
+        return _split_plan(n)
+
+    monkeypatch.setattr(_bridge, "_split_plan", counting)
+    n, m = 2000, 300
+    first, second = stable_offspring(1.5), stable_offspring(1.2, "no-unary")
+    for law, size in ((first, n), (first, m), (second, n)):
+        sample_conditioned_steps(law, size, np.random.default_rng(0))
+    sample_boltzmann(second, n, np.random.default_rng(0))  # block tables
+    assert plans == [n, m]
+    # lookups: plan n, tables, plan m, tables, plan n (cached), tables, and
+    # plan n again for the blocks
+    info = cache_info()
+    assert (info["hits"], info["misses"], info["entries"]) == (2, 5, 5)
+    tables = sum(t.nbytes for law in (first, second)
+                 for per_n in law._bridge_tables.values() for t in per_n.values())
+    plan_bytes = [_nbytes(_split_plan(k)) for k in (n, m)]
+    assert min(plan_bytes) > 0 and info["bytes"] == tables + sum(plan_bytes)
+
+
+def test_tables_that_fill_the_cache_keep_their_plan(fresh_cache, monkeypatch):
+    # the tables alone exceed the bound, so their entry pushes out the
+    # plan's; later samples of that size must build neither again
+    monkeypatch.setattr(_bridge._TABLES, "limit", 2**20)
+    law, n = stable_offspring(1.5), 20000
+    for seed in range(3):
+        sample_conditioned_steps(law, n, np.random.default_rng(seed))
+    info = cache_info()
+    assert (info["hits"], info["misses"], info["entries"]) == (4, 2, 1)
+    assert info["bytes"] > 2**20 and list(law._bridge_tables) == [n]
 
 
 def test_eviction_drops_least_recently_used_bytes_first():
@@ -118,10 +165,87 @@ def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert builds == [n]
+    # one miss each for the tables and the plan, and a hit on both for
+    # every other thread
     info = cache_info()
-    assert (info["hits"], info["misses"]) == (workers - 1, 1)
+    assert (info["hits"], info["misses"]) == (2 * (workers - 1), 2)
     for i, x in enumerate(out):
         assert np.array_equal(x, sample_conditioned_steps(law, n, np.random.default_rng(i)))
+
+
+# ---- the split plan ----
+
+def _critical_law(weights):
+    """The critical law with masses proportional to ``weights`` on 1, 2, ...
+    and the rest at 0."""
+    w = np.asarray(weights, dtype=float)
+    scale = 1.0 / float(np.dot(np.arange(1, w.size + 1), w))
+    return OffspringLaw.from_probabilities(np.concatenate([[1.0 - scale * w.sum()],
+                                                           scale * w]))
+
+
+_laws = st.one_of(
+    # finite laws, lattice ones such as {0, 3} included; mass at 2 or more
+    st.builds(lambda w1, rest: _critical_law([w1] + rest), st.integers(0, 9),
+              st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any)),
+    st.builds(stable_offspring, st.sampled_from([1.05, 1.5, 1.95]),
+              st.sampled_from(["generic", "no-unary"])),
+)
+# small sizes, sizes 2**k - 1, 2**k, 2**k + 1 and sizes either side of
+# the exact-convolution limit
+_sizes = st.one_of(
+    st.integers(2, 300),
+    st.sampled_from(sorted({2**k + d for k in range(1, 13) for d in (-1, 0, 1)} - {1})),
+    st.integers(2, 6000),
+)
+
+
+def _outcome(draw):
+    """The draws, or the type and message of the error they raise."""
+    try:
+        return draw()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_laws, n=_sizes, blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(law=OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3]), n=4096,
+         blocks=False, seed=0)
+@example(law=OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3]), n=4097,
+         blocks=True, seed=1)
+@example(law=stable_offspring(1.5, "no-unary"), n=_EXACT_CONV_LIMIT + 1,
+         blocks=True, seed=2)
+def test_bridge_equals_level_oracle(law, n, blocks, seed):
+    # the same draws bit for bit, and the same uniforms taken from rng
+    if blocks and law.forbids_unary:
+        window = _block_pmf(law.pmf(np.arange(n + 1)))
+    else:
+        window = law.pmf(np.arange(n))
+    tables = _sum_pmf_tables(window)
+    plan = _bridge._TABLES.plan(n)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _outcome(lambda: _bridge._bridge(tables, plan, rng))
+    want = _outcome(lambda: bridge_by_levels(tables, oracle_rng))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert int(got.sum()) == n - 1
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 100, 4097])
+def test_split_plan_covers_every_position_once(n):
+    plan = _split_plan(n)
+    placed = np.concatenate([leaf_out for _, leaf_out, _ in plan])
+    assert np.array_equal(np.sort(placed), np.arange(n))
+    (a, b, sel), = plan[0][2]
+    assert (a, b, sel.tolist()) == ((n + 1) // 2, n // 2, [0])
+    for _, _, groups in plan:
+        sizes = [a + b for a, b, _ in groups]
+        assert sizes == sorted(set(sizes))  # ascending, one group per size
+        assert all(sel.dtype == np.int32 for _, _, sel in groups)
 
 
 # ---- the convolution tables ----

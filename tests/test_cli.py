@@ -171,6 +171,16 @@ def test_reports_are_strict_json(tmp_path):
     ("experiment", "interpolation-crt", "--n", "2"),
     ("experiment", "interpolation-crt", "--n", "1"),
     ("experiment", "gh-sandwich", "--n", "1"),
+    # options the chosen command does not take
+    ("experiment", "laplace-check", "--alpha", "1.3", "--replicates", "7"),
+    ("experiment", "laplace-check", "--replicates", "7"),
+    ("experiment", "laplace-check", "--tolerance", "0.01"),
+    ("experiment", "laplace-check", "--window", "1", "2"),
+    ("experiment", "gh-sandwich", "--tolerance", "0.01"),
+    ("experiment", "interpolation-circle", "--window", "1", "2"),
+    ("experiment", "max-jump", "--window", "1", "2"),
+    ("sample", "tree", "--replicates", "5"),
+    ("sample", "dissection", "--replicates", "5"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:
