@@ -1,11 +1,13 @@
 """Command-line drivers: sample objects, run named experiments, render
 layouts.
 
-Every emitted file starts with a header block (JSON key or comment lines)
-echoing the artifact version, the seed, and the full configuration, so a
-report can be traced back to the exact invocation.  Exit status is 0 when
-all in-run checks pass and 1 otherwise; a bad option value, or an option the
-chosen command does not take, fails in one line with status 2.
+Each sample kind and each experiment has its own parser, built from the
+tables `_KINDS` and `_RUNS`, that offers only the options it uses.  Every
+emitted file starts with a header block (JSON key or comment lines) echoing
+the artifact version, the seed, and the full configuration, so a report can
+be traced back to the exact invocation.  Exit status is 0 when all in-run
+checks pass and 1 otherwise; a bad option value, or an option the chosen
+command does not take, fails in one line with status 2.
 """
 
 from __future__ import annotations
@@ -20,31 +22,9 @@ import numpy as np
 from . import __version__, experiments
 from .dissection import Dissection, sample_boltzmann
 from .excursion_metric import rescale
-from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
+from .gw_tree import PlaneTree, encode_tree, sample_conditioned_tree, stable_offspring
 from .layout import looptree_svg
 from .looptree import build_loop
-from .gw_tree import PlaneTree
-
-SAMPLE_KINDS = ("tree", "looptree", "dissection", "path")
-# each experiment, and the keyword that each command-line option sets in it;
-# an option left unset is not passed, so the experiment's own default holds
-_RUNS = {
-    "dimension": (experiments.dimension_experiment, {
-        "alpha": "alpha", "n": "n", "replicates": "trees",
-        "window": "window", "tolerance": "tolerance"}),
-    "interpolation-circle": (experiments.interpolation_circle, {
-        "alpha": "alpha", "n": "n", "replicates": "replicates"}),
-    "interpolation-crt": (experiments.interpolation_crt, {
-        "alpha": "alpha", "n": "n", "replicates": "paths",
-        "tolerance": "tolerance"}),
-    "max-jump": (experiments.max_jump_experiment, {
-        "alpha": "alpha", "n": "n", "replicates": "replicates",
-        "tolerance": "tolerance"}),
-    "gh-sandwich": (experiments.gh_sandwich, {
-        "alpha": "alpha", "n": "max_leaves", "replicates": "n_dissections"}),
-    "laplace-check": (experiments.laplace_check, {"n": "n_samples"}),
-}
-EXPERIMENTS = tuple(_RUNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,57 +60,20 @@ def _stable_alpha(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="looptrees",
-        description="Samplers and experiments for stable looptrees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--alpha", type=_stable_alpha, default=None)
-        p.add_argument("--n", type=_positive_int, default=None,
-                       help="size parameter (vertices, or leaves for dissections)")
-        p.add_argument("--replicates", type=_positive_int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", type=Path, default=Path("."))
-        p.add_argument("--format", choices=("json", "csv", "edgelist", "svg"),
-                       default="json")
-
-    ps = sub.add_parser("sample", help="draw one object and write it out")
-    ps.add_argument("kind", choices=SAMPLE_KINDS)
-    common(ps)
-
-    pe = sub.add_parser("experiment", help="run a named experiment")
-    pe.add_argument("name", choices=EXPERIMENTS)
-    common(pe)
-    pe.add_argument("--window", type=float, nargs=2, default=None,
-                    metavar=("RMIN", "RMAX"))
-    pe.add_argument("--tolerance", type=float, default=None)
-
-    pl = sub.add_parser("layout", help="render a saved object as SVG")
-    pl.add_argument("input", type=Path)
-    pl.add_argument("--out-dir", type=Path, default=Path("."))
-    return parser
+# how each option is parsed, wherever a command takes it
+_OPTIONS = {
+    "alpha": {"type": _stable_alpha},
+    "n": {"type": _positive_int,
+          "help": "size parameter (vertices, or leaves for dissections)"},
+    "replicates": {"type": _positive_int},
+    "window": {"type": float, "nargs": 2, "metavar": ("RMIN", "RMAX")},
+    "tolerance": {"type": float},
+}
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"command", "out_dir", "input"}
-    cfg = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        cfg[key] = str(val) if isinstance(val, Path) else val
-    return cfg
-
-
-def _header(cfg: dict) -> dict:
-    return {
-        "artifact": "looptrees",
-        "version": __version__,
-        "seed": cfg.get("seed", 0),
-        "config": cfg,
-    }
+    return {key: val for key, val in sorted(vars(args).items())
+            if key not in ("command", "out_dir") and val is not None}
 
 
 def _comment_header(cfg: dict, prefix: str = "#") -> list[str]:
@@ -149,167 +92,221 @@ def _write(path: Path, text: str) -> None:
 
 
 def _json_out(payload: dict, cfg: dict) -> str:
-    return json.dumps({"header": _header(cfg), **payload}, indent=1,
+    header = {"artifact": "looptrees", "version": __version__,
+              "seed": cfg.get("seed", 0), "config": cfg}
+    return json.dumps({"header": header, **payload}, indent=1,
                       allow_nan=False) + "\n"
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    args.alpha = args.alpha if args.alpha is not None else 1.5
-    args.n = args.n if args.n is not None else (
-        50 if args.kind == "dissection" else 1000
-    )
-    cfg = _config_dict(args)
-    out = args.out_dir
-    rng = experiments.stream(args.seed, 0)
-    fmt = args.format
-    if args.kind == "dissection":
-        if args.n < 2:
-            print("dissection needs --n (leaves) at least 2", file=sys.stderr)
-            return 1
-        law = stable_offspring(args.alpha, variant="no-unary")
-        d = sample_boltzmann(law, args.n, rng)
-        payload = json.loads(d.to_json())
-        _write(out / "dissection.json", _json_out(payload, cfg))
-        _write(out / "dissection.svg",
-               d.to_svg(header_lines=_comment_header(cfg, prefix="")))
-        return 0
+def _draw_tree(args: argparse.Namespace, rng):
+    return sample_conditioned_tree(stable_offspring(args.alpha), args.n, rng)
 
+
+def _draw_path(args: argparse.Namespace, rng):
+    """The rescaled excursion encoding of a sampled tree."""
     law = stable_offspring(args.alpha)
     tree = sample_conditioned_tree(law, args.n, rng)
-    if args.kind == "tree":
-        if fmt == "csv":
-            lines = _comment_header(cfg) + ["vertex,children"]
-            lines += [f"{v},{c}" for v, c in enumerate(tree.children_counts)]
-            _write(out / "tree.csv", "\n".join(lines) + "\n")
-        else:
-            payload = json.loads(tree.to_json())
-            _write(out / "tree.json", _json_out(payload, cfg))
-        return 0
-    if args.kind == "looptree":
-        graph = build_loop(tree)
-        if fmt == "edgelist":
-            lines = _comment_header(cfg)
-            lines += graph.to_edge_list().splitlines()
-            _write(out / "looptree_edges.txt", "\n".join(lines) + "\n")
-            olines = _comment_header(cfg) + ["graph_vertex,tree_vertex,corner"]
-            olines += [
-                f"{i},{t},{c}" for i, (t, c) in enumerate(graph.origin)
-            ]
-            _write(out / "looptree_origin.csv", "\n".join(olines) + "\n")
-        elif fmt == "svg":
-            _write(out / "looptree.svg",
-                   looptree_svg(tree, header_lines=_comment_header(cfg, "")))
-        else:
-            payload = json.loads(graph.to_json())
-            # echo the tree so the layout subcommand can redraw the file
-            payload["children_counts"] = tree.children_counts.tolist()
-            _write(out / "looptree.json", _json_out(payload, cfg))
-        return 0
-    # path: the rescaled excursion encoding of the sampled tree
-    jp = rescale(encode_tree(tree), law.scaling_constant(args.n))
-    if fmt == "json":
-        payload = {"values": jp.values.tolist()}
-        _write(out / "path.json", _json_out(payload, cfg))
-    else:
-        body = jp.to_csv()
-        _write(out / "path.csv",
-               "\n".join(_comment_header(cfg)) + "\n" + body)
+    return rescale(encode_tree(tree), law.scaling_constant(args.n))
+
+
+def _draw_dissection(args: argparse.Namespace, rng):
+    return sample_boltzmann(stable_offspring(args.alpha, variant="no-unary"),
+                            args.n, rng)
+
+
+def _tree_json(tree, cfg: dict, out: Path) -> None:
+    _write(out / "tree.json", _json_out(json.loads(tree.to_json()), cfg))
+
+
+def _tree_csv(tree, cfg: dict, out: Path) -> None:
+    lines = _comment_header(cfg) + ["vertex,children"]
+    lines += [f"{v},{c}" for v, c in enumerate(tree.children_counts)]
+    _write(out / "tree.csv", "\n".join(lines) + "\n")
+
+
+def _looptree_json(tree, cfg: dict, out: Path) -> None:
+    payload = json.loads(build_loop(tree).to_json())
+    # echo the tree so the layout subcommand can redraw the file
+    payload["children_counts"] = tree.children_counts.tolist()
+    _write(out / "looptree.json", _json_out(payload, cfg))
+
+
+def _looptree_edgelist(tree, cfg: dict, out: Path) -> None:
+    graph = build_loop(tree)
+    lines = _comment_header(cfg) + graph.to_edge_list().splitlines()
+    _write(out / "looptree_edges.txt", "\n".join(lines) + "\n")
+    lines = _comment_header(cfg) + ["graph_vertex,tree_vertex,corner"]
+    lines += [f"{i},{t},{c}" for i, (t, c) in enumerate(graph.origin)]
+    _write(out / "looptree_origin.csv", "\n".join(lines) + "\n")
+
+
+def _looptree_svg(tree, cfg: dict, out: Path) -> None:
+    _write(out / "looptree.svg",
+           looptree_svg(tree, header_lines=_comment_header(cfg, "")))
+
+
+def _path_json(jp, cfg: dict, out: Path) -> None:
+    _write(out / "path.json", _json_out({"values": jp.values.tolist()}, cfg))
+
+
+def _path_csv(jp, cfg: dict, out: Path) -> None:
+    _write(out / "path.csv",
+           "\n".join(_comment_header(cfg)) + "\n" + jp.to_csv())
+
+
+def _dissection_files(d, cfg: dict, out: Path) -> None:
+    _write(out / "dissection.json", _json_out(json.loads(d.to_json()), cfg))
+    _write(out / "dissection.svg",
+           d.to_svg(header_lines=_comment_header(cfg, prefix="")))
+
+
+# each sample kind: its default --n, how it is drawn, and its writer for each
+# --format, the first being the default; the key None marks a kind that has
+# one set of files and so no --format at all
+_KINDS = {
+    "tree": (1000, _draw_tree, {"json": _tree_json, "csv": _tree_csv}),
+    "looptree": (1000, _draw_tree, {"json": _looptree_json,
+                                    "edgelist": _looptree_edgelist,
+                                    "svg": _looptree_svg}),
+    "path": (1000, _draw_path, {"json": _path_json, "csv": _path_csv}),
+    "dissection": (50, _draw_dissection, {None: _dissection_files}),
+}
+
+
+def _keyed_rows(report: dict) -> list[str]:
+    rows = report["rows"]
+    keys = sorted(rows[0])
+    return [",".join(keys)] + [
+        ",".join(repr(row[k]) for k in keys) for row in rows
+    ]
+
+
+def _profile_rows(report: dict) -> list[str]:
+    return ["center,radius,count"] + [
+        f"{i},{r},{c}" for i, prof in enumerate(report["profiles"])
+        for r, c in zip(prof["radii"], prof["counts"])
+    ]
+
+
+def _jump_rows(report: dict) -> list[str]:
+    # the Gromov-Hausdorff bound may cover only the first replicates
+    gh = report["gh_bounds"]
+    return ["replicate,max_jump,gh_bound"] + [
+        f"{i},{mj!r}," + (repr(gh[i]) if i < len(gh) else "")
+        for i, mj in enumerate(report["max_jumps"])
+    ]
+
+
+# each experiment, the keyword that each command-line option sets in it, and
+# the CSV rows drawn from its report; an option left unset is not passed, so
+# the experiment's own default holds
+_RUNS = {
+    "dimension": (experiments.dimension_experiment, {
+        "alpha": "alpha", "n": "n", "replicates": "trees",
+        "window": "window", "tolerance": "tolerance"}, _profile_rows),
+    "interpolation-circle": (experiments.interpolation_circle, {
+        "alpha": "alpha", "n": "n", "replicates": "replicates"}, _jump_rows),
+    "interpolation-crt": (experiments.interpolation_crt, {
+        "alpha": "alpha", "n": "n", "replicates": "paths",
+        "tolerance": "tolerance"},
+        lambda report: ["path_mean"] + [repr(v) for v in report["path_means"]]),
+    "max-jump": (experiments.max_jump_experiment, {
+        "alpha": "alpha", "n": "n", "replicates": "replicates",
+        "tolerance": "tolerance"},
+        lambda report: ["value"] + [repr(v) for v in report["values"]]),
+    "gh-sandwich": (experiments.gh_sandwich, {
+        "alpha": "alpha", "n": "max_leaves", "replicates": "n_dissections"},
+        _keyed_rows),
+    "laplace-check": (experiments.laplace_check, {"n": "n_samples"},
+                      _keyed_rows),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="looptrees",
+        description="Samplers and experiments for stable looptrees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    kinds = sub.add_parser("sample", help="draw one object and write it out")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    for kind, (n, _, writers) in _KINDS.items():
+        p = kinds.add_parser(kind)
+        p.add_argument("--alpha", **_OPTIONS["alpha"], default=1.5)
+        p.add_argument("--n", **_OPTIONS["n"], default=n)
+        if None not in writers:
+            p.add_argument("--format", choices=tuple(writers),
+                           default=next(iter(writers)))
+
+    runs = sub.add_parser("experiment", help="run a named experiment")
+    runs = runs.add_subparsers(dest="name", required=True)
+    for name, (_, keywords, _) in _RUNS.items():
+        p = runs.add_parser(name)
+        for opt in keywords:
+            p.add_argument("--" + opt, **_OPTIONS[opt], default=None)
+
+    for p in (*kinds.choices.values(), *runs.choices.values()):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", type=Path, default=Path("."))
+
+    pl = sub.add_parser("layout", help="render a saved object as SVG")
+    pl.add_argument("input", type=Path)
+    pl.add_argument("--out-dir", type=Path, default=Path("."))
+    return parser
+
+
+def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.kind == "dissection" and args.n < 2:
+        print("dissection needs --n (leaves) at least 2", file=sys.stderr)
+        return 1
+    _, draw, writers = _KINDS[args.kind]
+    obj = draw(args, experiments.stream(args.seed, 0))
+    writers[getattr(args, "format", None)](obj, _config_dict(args), args.out_dir)
     return 0
 
 
-def _experiment_report(args: argparse.Namespace) -> dict:
-    run, keywords = _RUNS[args.name]
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    run, keywords, rows = _RUNS[args.name]
+    cfg = _config_dict(args)
     kw = {key: getattr(args, opt) for opt, key in keywords.items()
           if getattr(args, opt) is not None}
-    return run(seed=args.seed, **kw)
-
-
-def _plot_rows(report: dict) -> list[str]:
-    """Flatten whatever per-replicate data the report holds into CSV rows."""
-    if "rows" in report:
-        keys = sorted(report["rows"][0])
-        lines = [",".join(keys)]
-        lines += [
-            ",".join(repr(row[k]) for k in keys) for row in report["rows"]
-        ]
-        return lines
-    if "profiles" in report:
-        lines = ["center,radius,count"]
-        for i, prof in enumerate(report["profiles"]):
-            for r, c in zip(prof["radii"], prof["counts"]):
-                lines.append(f"{i},{r},{c}")
-        return lines
-    if "values" in report:
-        return ["value"] + [repr(v) for v in report["values"]]
-    if "max_jumps" in report:
-        lines = ["replicate,max_jump,gh_bound"]
-        gh = report.get("gh_bounds", [])
-        for i, mj in enumerate(report["max_jumps"]):
-            tail = repr(gh[i]) if i < len(gh) else ""
-            lines.append(f"{i},{mj!r},{tail}")
-        return lines
-    if "path_means" in report:
-        return ["path_mean"] + [repr(v) for v in report["path_means"]]
-    return []
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = _config_dict(args)
-    report = _experiment_report(args)
+    report = run(seed=args.seed, **kw)
     stem = args.name.replace("-", "_")
     _write(args.out_dir / f"{stem}_report.json", _json_out(report, cfg))
-    rows = _plot_rows(report)
-    if rows:
-        text = "\n".join(_comment_header(cfg) + rows) + "\n"
-        _write(args.out_dir / f"{stem}_data.csv", text)
+    text = "\n".join(_comment_header(cfg) + rows(report)) + "\n"
+    _write(args.out_dir / f"{stem}_data.csv", text)
     status = "PASS" if report.get("pass") else "FAIL"
     print(f"{args.name}: {status}")
     return 0 if report.get("pass") else 1
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    raw = args.input.read_text()
+    header = _comment_header({"input": str(args.input)}, "")
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"cannot parse {args.input}: {exc}", file=sys.stderr)
-        return 1
-    cfg = {"input": str(args.input)}
-    if "chords" in doc:
-        d = Dissection(doc["n_sides"], doc["chords"])
-        svg = d.to_svg(header_lines=_comment_header(cfg, ""))
-    elif "children_counts" in doc:  # tree.json or looptree.json (tree echo)
-        tree = PlaneTree(np.asarray(doc["children_counts"], dtype=np.int64))
-        svg = looptree_svg(tree, header_lines=_comment_header(cfg, ""))
+        doc = json.loads(args.input.read_text())
+        if "chords" in doc:
+            d = Dissection(doc["n_sides"], doc["chords"])
+            svg = d.to_svg(header_lines=header)
+        elif "children_counts" in doc:  # tree.json or looptree.json (tree echo)
+            tree = PlaneTree(np.asarray(doc["children_counts"], dtype=np.int64))
+            svg = looptree_svg(tree, header_lines=header)
+        else:
+            raise ValueError("has neither chords nor children_counts")
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (OSError, ValueError, TypeError) as exc:
+        problem = str(exc)
     else:
-        print(
-            f"{args.input} has neither chords nor children_counts",
-            file=sys.stderr,
-        )
-        return 1
-    _write(args.out_dir / (args.input.stem + "_layout.svg"), svg)
-    return 0
-
-
-def _reject_untaken(parser: argparse.ArgumentParser,
-                    args: argparse.Namespace) -> None:
-    """Fail on an option the chosen command would ignore."""
-    if args.command == "sample":
-        what, takes = args.kind, ("alpha", "n")
-    elif args.command == "experiment":
-        what, takes = args.name, _RUNS[args.name][1]
-    else:
-        return
-    # the options that stay None unless given
-    for opt in ("alpha", "n", "replicates", "window", "tolerance"):
-        if getattr(args, opt, None) is not None and opt not in takes:
-            parser.error(f"argument --{opt}: {args.command} {what} does not take it")
+        _write(args.out_dir / (args.input.stem + "_layout.svg"), svg)
+        return 0
+    print(f"cannot lay out {args.input}: {problem}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _reject_untaken(parser, args)
     if args.command == "sample":
         return _cmd_sample(args)
     if args.command == "experiment":

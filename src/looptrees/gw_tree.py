@@ -277,9 +277,6 @@ class LukasiewiczPath:
         """Number of steps = number of tree vertices."""
         return int(self.steps.size)
 
-    def max_step(self) -> int:
-        return int(self.steps.max())
-
     def _ensure_index(self) -> "_TreeIndex":
         if self._index is None:
             self._index = _TreeIndex(self.steps, self.values)

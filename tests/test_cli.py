@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
-from looptrees.cli import main
+from looptrees.cli import _KINDS, _OPTIONS, _RUNS, main
 
 
 def run(tmp_path, *argv):
@@ -19,7 +20,7 @@ def test_sample_tree_csv(tmp_path):
     text = (tmp_path / "tree.csv").read_text()
     lines = text.splitlines()
     assert lines[0].startswith("#")
-    assert "seed=7" in lines[1] or "seed" in lines[1]
+    assert lines[1] == "# seed: 7"
     body = [l for l in lines if not l.startswith("#")]
     assert body[0] == "vertex,children"
     assert len(body) == 41
@@ -89,11 +90,24 @@ def test_layout_round_trip(tmp_path):
     assert "<svg" in (tmp_path / "dissection_layout.svg").read_text()
 
 
-def test_layout_rejects_unknown_document(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    '{"something": 1}',
+    None,
+    "{not json",
+    "5",
+    '{"children_counts": [2, 0]}',
+    '{"chords": [[0, 2]]}',
+    '{"n_sides": 6, "chords": [[0, 2], [1, 3]]}',
+], ids=["neither-key", "missing-file", "not-json", "scalar", "bad-counts",
+        "no-n-sides", "crossing-chords"])
+def test_layout_rejects_unknown_document(tmp_path, capsys, text):
     bad = tmp_path / "junk.json"
-    bad.write_text(json.dumps({"something": 1}))
+    if text is not None:
+        bad.write_text(text)
     assert main(["layout", str(bad), "--out-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(bad) in lines[0]
+    assert not (tmp_path / "junk_layout.svg").exists()
 
 
 def test_determinism_same_seed_same_bytes(tmp_path):
@@ -181,6 +195,11 @@ def test_reports_are_strict_json(tmp_path):
     ("experiment", "max-jump", "--window", "1", "2"),
     ("sample", "tree", "--replicates", "5"),
     ("sample", "dissection", "--replicates", "5"),
+    # a format the chosen command does not offer
+    ("sample", "path", "--format", "edgelist"),
+    ("sample", "tree", "--format", "svg"),
+    ("sample", "dissection", "--format", "csv"),
+    ("experiment", "laplace-check", "--format", "svg"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -190,3 +209,63 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and argv[2] in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    *(("sample", kind) for kind in _KINDS),
+    *(("experiment", name) for name in _RUNS),
+], ids=lambda argv: "-".join(argv) or "looptrees")
+def test_help_exits_0_and_lists_only_taken_options(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    if argv[:1] == ("sample",):
+        takes = {"alpha", "n"}
+        assert ("--format " in out) == (None not in _KINDS[argv[1]][2])
+    elif argv[:1] == ("experiment",):
+        takes = set(_RUNS[argv[1]][1])
+        assert "--format" not in out
+    else:
+        return
+    for opt in _OPTIONS:
+        assert (f"--{opt} " in out) == (opt in takes), opt
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_run_table_keywords_are_experiment_parameters(name):
+    run, keywords, _ = _RUNS[name]
+    params = inspect.signature(run).parameters
+    assert set(keywords.values()) <= set(params) - {"seed"}
+    assert set(keywords) <= set(_OPTIONS)
+
+
+# small runs of each experiment: keyword arguments, the CSV header line and
+# the number of rows below it
+_SMALL_RUNS = {
+    "dimension": (dict(n=2000, trees=5, window=(2.0, 20.0)),
+                  "center,radius,count", None),
+    "interpolation-circle": (dict(alpha=1.05, n=500, replicates=3),
+                             "replicate,max_jump,gh_bound", 3),
+    "interpolation-crt": (dict(n=500, paths=3, draws=20), "path_mean", 3),
+    "max-jump": (dict(n=500, replicates=4), "value", 4),
+    "gh-sandwich": (dict(n_dissections=5, max_leaves=20),
+                    "height,height_bound_ok,loop_pair_gh_bound,n_leaves,observed",
+                    5),
+    "laplace-check": (dict(n_samples=200), "alpha,estimate,lam,stderr,target,z",
+                      9),
+}
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_run_table_csv_rows(name):
+    run, _, rows = _RUNS[name]
+    kwargs, header, count = _SMALL_RUNS[name]
+    report = run(seed=1, **kwargs)
+    lines = rows(report)
+    assert lines[0] == header
+    if count is None:  # one row per center and radius
+        count = report["centers"] * len(report["profiles"][0]["radii"])
+    assert len(lines) == 1 + count
+    assert all(line.count(",") == header.count(",") for line in lines)
