@@ -34,16 +34,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Option type for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _stable_alpha(text: str) -> float:
@@ -63,9 +70,9 @@ def _stable_alpha(text: str) -> float:
 # how each option is parsed, wherever a command takes it
 _OPTIONS = {
     "alpha": {"type": _stable_alpha},
-    "n": {"type": _positive_int,
+    "n": {"type": _int_at_least(1),
           "help": "size parameter (vertices, or leaves for dissections)"},
-    "replicates": {"type": _positive_int},
+    "replicates": {"type": _int_at_least(1)},
     "window": {"type": float, "nargs": 2, "metavar": ("RMIN", "RMAX")},
     "tolerance": {"type": float},
 }
@@ -160,16 +167,16 @@ def _dissection_files(d, cfg: dict, out: Path) -> None:
            d.to_svg(header_lines=_comment_header(cfg, prefix="")))
 
 
-# each sample kind: its default --n, how it is drawn, and its writer for each
-# --format, the first being the default; the key None marks a kind that has
-# one set of files and so no --format at all
+# each sample kind: its default and smallest --n, how it is drawn, and its
+# writer for each --format, the first being the default; the key None marks a
+# kind that has one set of files and so no --format at all
 _KINDS = {
-    "tree": (1000, _draw_tree, {"json": _tree_json, "csv": _tree_csv}),
-    "looptree": (1000, _draw_tree, {"json": _looptree_json,
-                                    "edgelist": _looptree_edgelist,
-                                    "svg": _looptree_svg}),
-    "path": (1000, _draw_path, {"json": _path_json, "csv": _path_csv}),
-    "dissection": (50, _draw_dissection, {None: _dissection_files}),
+    "tree": ((1000, 1), _draw_tree, {"json": _tree_json, "csv": _tree_csv}),
+    "looptree": ((1000, 1), _draw_tree, {"json": _looptree_json,
+                                         "edgelist": _looptree_edgelist,
+                                         "svg": _looptree_svg}),
+    "path": ((1000, 1), _draw_path, {"json": _path_json, "csv": _path_csv}),
+    "dissection": ((50, 2), _draw_dissection, {None: _dissection_files}),
 }
 
 
@@ -231,10 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kinds = sub.add_parser("sample", help="draw one object and write it out")
     kinds = kinds.add_subparsers(dest="kind", required=True)
-    for kind, (n, _, writers) in _KINDS.items():
+    for kind, ((n, low), _, writers) in _KINDS.items():
         p = kinds.add_parser(kind)
         p.add_argument("--alpha", **_OPTIONS["alpha"], default=1.5)
-        p.add_argument("--n", **_OPTIONS["n"], default=n)
+        p.add_argument("--n", **{**_OPTIONS["n"], "type": _int_at_least(low)},
+                       default=n)
         if None not in writers:
             p.add_argument("--format", choices=tuple(writers),
                            default=next(iter(writers)))
@@ -257,9 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.kind == "dissection" and args.n < 2:
-        print("dissection needs --n (leaves) at least 2", file=sys.stderr)
-        return 1
     _, draw, writers = _KINDS[args.kind]
     obj = draw(args, experiments.stream(args.seed, 0))
     writers[getattr(args, "format", None)](obj, _config_dict(args), args.out_dir)

@@ -35,8 +35,8 @@ class JumpPath:
     normalization the path was produced with.
     """
 
-    __slots__ = ("times", "values", "jumps", "left_limits", "scale",
-                 "source_size", "_parent")
+    __slots__ = ("values", "jumps", "left_limits", "scale", "source_size",
+                 "_parent")
 
     def __init__(self, values, scale: float = 1.0):
         vals = np.asarray(values, dtype=float)
@@ -49,7 +49,6 @@ class JumpPath:
         if vals.size > 2 and vals[1:-1].min() < 0.0:
             raise ValueError("values must be nonnegative before the endpoint")
         n = vals.size - 1
-        self.times = np.arange(n + 1) / n
         self.values = vals
         self.jumps = np.concatenate(([0.0], np.maximum(np.diff(vals), 0.0)))
         self.left_limits = self.values - self.jumps
@@ -84,9 +83,10 @@ class JumpPath:
         return f"JumpPath(n={self.n}, scale={self.scale})"
 
     def to_csv(self) -> str:
+        times = np.arange(self.n + 1) / self.n
         lines = ["time,value,jump"]
         lines.extend(
-            f"{float(self.times[k])!r},{float(self.values[k])!r},"
+            f"{float(times[k])!r},{float(self.values[k])!r},"
             f"{float(self.jumps[k])!r}"
             for k in range(self.values.size)
         )

@@ -18,12 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
-from .gw_tree import (
-    OffspringLaw,
-    encode_tree,
-    sample_conditioned_tree,
-    stable_offspring,
-)
+from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
 from .looptree import build_loop, loop_distances
 from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment

@@ -1,8 +1,8 @@
 """Spectrally positive stable laws normalized so E[exp(-lam*X_t)] = exp(t*lam**alpha).
 
 Covers increment sampling (a Chambers-Mallows-Stuck style transform for the
-totally skewed case), the closed-form tail of the jump measure, and the
-largest-jump constant obtained as the root of an alternating series.
+totally skewed case) and the largest-jump constant obtained as the root of
+an alternating series.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "StableParams",
     "sample_increment",
-    "levy_tail",
     "beta_root",
     "expected_max_jump",
 ]
@@ -59,24 +58,6 @@ def sample_increment(params: StableParams, t: float, rng: np.random.Generator, s
     ) ** ((1.0 - alpha) / alpha)
     out = t ** (1.0 / alpha) * x
     if size is None:
-        return float(out)
-    return out
-
-
-def levy_tail(params: StableParams, r):
-    """Mass of the jump measure on [r, infinity).
-
-    The jump measure has density alpha*(alpha-1)/Gamma(2-alpha) * r**(-alpha-1)
-    on (0, infinity), so the tail integrates to
-    (alpha-1)/Gamma(2-alpha) * r**(-alpha).  Accepts scalars or arrays; rejects
-    any nonpositive r.
-    """
-    alpha = params.alpha
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("r must be positive")
-    out = (alpha - 1.0) / math.gamma(2.0 - alpha) * arr ** (-alpha)
-    if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
 

@@ -1,7 +1,8 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
 the i.i.d. offspring sampler that the rejection oracles draw from, the
-chord-walk oracle for the dual tree of a dissection, and the level-by-level
-oracle for the bridge."""
+chord-walk oracle for the dual tree of a dissection, the level-by-level
+oracle for the bridge, and the Gromov-Hausdorff bound of an explicit
+correspondence between distance matrices."""
 
 from __future__ import annotations
 
@@ -155,6 +156,37 @@ def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
         start = np.concatenate(next_start)
 
     return out
+
+
+def gh_upper_bound(corr, dX, dY) -> float:
+    """Half the distortion of an explicit correspondence between the finite
+    metric spaces with distance matrices ``dX`` and ``dY``.
+
+    ``corr`` is a sequence of (i, j) index pairs; every point of both spaces
+    must appear in at least one pair, otherwise the uncovered points are
+    listed in the error.
+    """
+    dX = np.asarray(dX, dtype=np.float64)
+    dY = np.asarray(dY, dtype=np.float64)
+    pairs = np.asarray(list(corr), dtype=np.int64).reshape(-1, 2)
+    if pairs.size == 0:
+        raise ValueError("empty correspondence")
+    for side, d, name in ((0, dX, "left"), (1, dY, "right")):
+        seen = np.zeros(d.shape[0], dtype=bool)
+        col = pairs[:, side]
+        if col.min() < 0 or col.max() >= d.shape[0]:
+            raise ValueError(f"{name} index out of range")
+        seen[col] = True
+        if not seen.all():
+            missing = np.flatnonzero(~seen)
+            head = ", ".join(str(int(x)) for x in missing[:8])
+            more = "" if missing.size <= 8 else f" (+{missing.size - 8} more)"
+            raise ValueError(
+                f"correspondence misses {name}-side points: {head}{more}"
+            )
+    a = pairs[:, 0]
+    b = pairs[:, 1]
+    return float(np.abs(dX[np.ix_(a, a)] - dY[np.ix_(b, b)]).max()) / 2.0
 
 
 def enumerate_plane_trees(n: int) -> list[PlaneTree]:

@@ -34,8 +34,9 @@ from looptrees.gw_tree import (
     stable_offspring,
 )
 from looptrees.looptree import build_loop, build_loop_prime, loop_prime_distance
-from looptrees.metric_analysis import FiniteMetric, gh_upper_bound
 from looptrees.stable_law import StableParams, beta_root
+
+from conftest import gh_upper_bound
 
 
 _capture = None
@@ -154,8 +155,8 @@ def test_criterion_04_gh_sandwiches(small_trees):
         n = tree.size
         if n == 1:
             continue
-        dl = FiniteMetric.from_graph(build_loop(tree))
-        dp = FiniteMetric.from_graph(build_loop_prime(tree))
+        dl = build_loop(tree).distances()
+        dp = build_loop_prime(tree).distances()
         px = np.concatenate([[0], np.arange(1, n) - 1])
         corr = np.column_stack([px, np.arange(n)])
         assert gh_upper_bound(corr, dl, dp) <= 2.0

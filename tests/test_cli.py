@@ -73,11 +73,6 @@ def test_sample_dissection_writes_json_and_svg(tmp_path):
     assert "<svg" in (tmp_path / "dissection.svg").read_text()
 
 
-def test_sample_dissection_rejects_tiny(tmp_path, capsys):
-    assert run(tmp_path, "sample", "dissection", "--n", "1") == 1
-    assert "leaves" in capsys.readouterr().err
-
-
 def test_layout_round_trip(tmp_path):
     assert run(tmp_path, "sample", "looptree", "--n", "20", "--seed", "9") == 0
     assert main(["layout", str(tmp_path / "looptree.json"),
@@ -200,6 +195,8 @@ def test_reports_are_strict_json(tmp_path):
     ("sample", "tree", "--format", "svg"),
     ("sample", "dissection", "--format", "csv"),
     ("experiment", "laplace-check", "--format", "svg"),
+    # a dissection needs at least two leaves
+    ("sample", "dissection", "--n", "1"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

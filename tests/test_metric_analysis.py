@@ -1,32 +1,21 @@
-"""Finite metric helpers: BFS matrices, GH bounds, profiles, dimension fits."""
+"""Loop-graph metrics: BFS distance matrices, the Gromov-Hausdorff bound of
+the loop pairing, ball profiles and dimension fits."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from looptrees.gw_tree import (
-    PlaneTree,
-    encode_tree,
-    sample_conditioned_tree,
-    stable_offspring,
-)
+from looptrees.gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
 from looptrees.looptree import (
     LoopGraph,
     build_loop,
     build_loop_prime,
     loop_prime_distance,
 )
-from looptrees.metric_analysis import (
-    FiniteMetric,
-    ball_volume_profile,
-    bfs_metric,
-    circle_metric,
-    crt_comparator,
-    dimension_estimate,
-    gh_upper_bound,
-    tree_metric,
-)
+from looptrees.metric_analysis import ball_volume_profile, dimension_estimate
+
+from conftest import gh_upper_bound
 
 
 @pytest.fixture
@@ -35,39 +24,14 @@ def cycle4():
     return LoopGraph(4, edges, np.arange(4))
 
 
-# ---- FiniteMetric ----
-
-@pytest.mark.parametrize("matrix,word", [
-    (np.zeros((2, 3)), "square"),
-    (np.array([[0.0, -1], [-1, 0]]), "negative"),
-    (np.array([[0.5, 1], [1, 0]]), "diagonal"),
-    (np.array([[0.0, 1], [2, 0.0]]), "symmetric"),
-    (np.array([[0.0, 1, 5], [1, 0, 1], [5, 1, 0.0]]), "triangle"),
-])
-def test_finite_metric_validation(matrix, word):
-    with pytest.raises(ValueError, match=word):
-        FiniteMetric(matrix)
-
-
-def test_finite_metric_triangle_toggle_and_basics():
-    bad = np.array([[0.0, 1, 5], [1, 0, 1], [5, 1, 0.0]])
-    FiniteMetric(bad, check_triangle=False)  # accepted without the check
-    m = FiniteMetric(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0.0]]))
-    assert m.point_count == 3
-    assert m.distance(0, 2) == 2.0
-    assert m.diameter() == 2.0
-    assert m.rescaled(0.5).distance(0, 2) == 1.0
-    assert "np." not in m.to_csv()
-
-
-# ---- bfs_metric ----
+# ---- BFS distance matrices ----
 
 def test_bfs_metric_basics(cycle4):
     edge = LoopGraph(2, np.array([[0, 1]]), np.arange(2))
-    assert bfs_metric(edge).tolist() == [[0, 1], [1, 0]]
-    fm = FiniteMetric.from_graph(cycle4)
-    assert fm.distance(0, 2) == 2 and fm.distance(1, 3) == 2
-    rows = bfs_metric(cycle4, sources=[0, 2])
+    assert edge.distances().tolist() == [[0, 1], [1, 0]]
+    d = cycle4.distances()
+    assert d[0, 2] == 2 and d[1, 3] == 2
+    rows = cycle4.distances(sources=[0, 2])
     assert rows.shape == (2, 4)
     assert rows[0].tolist() == [0, 1, 2, 1]
 
@@ -75,7 +39,7 @@ def test_bfs_metric_basics(cycle4):
 def test_bfs_metric_names_unreachable_vertex():
     iso = LoopGraph(3, np.array([[0, 1]]), np.arange(3))
     with pytest.raises(RuntimeError, match="2"):
-        bfs_metric(iso)
+        iso.distances()
 
 
 def test_bfs_metric_agrees_with_walk_distance(rng_factory):
@@ -85,7 +49,7 @@ def test_bfs_metric_agrees_with_walk_distance(rng_factory):
         law = stable_offspring(float(rng.uniform(1.1, 1.9)))
         tree = sample_conditioned_tree(law, n, rng)
         path = encode_tree(tree)
-        d = bfs_metric(build_loop_prime(tree))
+        d = build_loop_prime(tree).distances()
         for _ in range(25):
             i, j = rng.integers(0, n, size=2)
             assert d[i, j] == loop_prime_distance(path, int(i), int(j))
@@ -94,16 +58,16 @@ def test_bfs_metric_agrees_with_walk_distance(rng_factory):
 # ---- gh_upper_bound ----
 
 def test_gh_upper_bound_identity_and_rescale(cycle4):
-    fm = FiniteMetric.from_graph(cycle4)
+    d = cycle4.distances()
     ident = np.column_stack([np.arange(4), np.arange(4)])
-    assert gh_upper_bound(ident, fm, fm) == 0.0
+    assert gh_upper_bound(ident, d, d) == 0.0
     lam = 1.7
-    want = abs(lam - 1.0) * fm.diameter() / 2.0
-    assert gh_upper_bound(ident, fm, fm.rescaled(lam)) == pytest.approx(want)
+    want = abs(lam - 1.0) * d.max() / 2.0
+    assert gh_upper_bound(ident, d, d * lam) == pytest.approx(want)
     with pytest.raises(ValueError, match="misses"):
-        gh_upper_bound(ident[:2], fm, fm)
+        gh_upper_bound(ident[:2], d, d)
     with pytest.raises(ValueError, match="empty"):
-        gh_upper_bound(np.zeros((0, 2), dtype=int), fm, fm)
+        gh_upper_bound(np.zeros((0, 2), dtype=int), d, d)
 
 
 def test_gh_upper_bound_loop_pairing(rng_factory):
@@ -112,73 +76,11 @@ def test_gh_upper_bound_loop_pairing(rng_factory):
         n = int(rng.integers(2, 90))
         law = stable_offspring(float(rng.uniform(1.1, 1.9)))
         tree = sample_conditioned_tree(law, n, rng)
-        dl = FiniteMetric.from_graph(build_loop(tree))
-        dp = FiniteMetric.from_graph(build_loop_prime(tree))
+        dl = build_loop(tree).distances()
+        dp = build_loop_prime(tree).distances()
         px = np.concatenate([[0], np.arange(1, n) - 1])
         corr = np.column_stack([px, np.arange(n)])
         assert gh_upper_bound(corr, dl, dp) <= 2.0
-
-
-# ---- reference spaces ----
-
-def test_circle_metric_values():
-    c4 = circle_metric(4)
-    assert c4.distance(0, 2) == 0.5
-    assert c4.distance(0, 1) == 0.25
-    assert c4.distance(0, 3) == 0.25
-    assert abs(circle_metric(9).diameter() - 4 / 9) < 1e-15
-    with pytest.raises(ValueError, match="3"):
-        circle_metric(2)
-
-
-def test_crt_comparator_shape_and_scale(rng_factory):
-    rng = rng_factory(52)
-    for m in (50, 400):
-        fm = crt_comparator(m, rng)
-        assert fm.point_count == m
-        assert fm.distance(0, 0) == 0.0
-    diams = [crt_comparator(400, rng).diameter() for _ in range(25)]
-    # rescaled diameters are order one, not order sqrt(m) or 1/sqrt(m)
-    assert 0.3 < np.mean(diams) < 6.0
-    with pytest.raises(ValueError):
-        crt_comparator(1, rng)
-
-
-# ---- tree_metric ----
-
-def test_tree_metric_chain_and_star():
-    tm = tree_metric(PlaneTree([1, 1, 1, 0]))
-    for i in range(4):
-        for j in range(4):
-            assert tm.distance(i, j) == abs(i - j)
-    ts = tree_metric(PlaneTree([3, 0, 0, 0]))
-    assert ts.distance(1, 2) == 2 and ts.distance(0, 3) == 1
-
-
-def test_tree_metric_agrees_with_bfs(rng_factory):
-    rng = rng_factory(53)
-    for _ in range(10):
-        n = int(rng.integers(2, 100))
-        law = stable_offspring(float(rng.uniform(1.1, 1.9)))
-        tree = sample_conditioned_tree(law, n, rng)
-        parent = encode_tree(tree)._ensure_index().parent
-        g = LoopGraph(
-            n, np.column_stack([np.arange(1, n), parent[1:]]), np.arange(n)
-        )
-        assert np.array_equal(tree_metric(tree).matrix, bfs_metric(g).astype(float))
-
-
-def test_tree_metric_four_point_condition(rng_factory):
-    rng = rng_factory(54)
-    for _ in range(10):
-        n = int(rng.integers(4, 80))
-        law = stable_offspring(float(rng.uniform(1.1, 1.9)))
-        tree = sample_conditioned_tree(law, n, rng)
-        d = tree_metric(tree).matrix
-        for _ in range(40):
-            x, y, z, w = rng.integers(0, n, size=4)
-            sums = sorted([d[x, y] + d[z, w], d[x, z] + d[y, w], d[x, w] + d[y, z]])
-            assert sums[2] - sums[1] < 1e-12  # two largest sums tie
 
 
 # ---- profiles and dimension ----

@@ -1,4 +1,4 @@
-"""Stable increment sampling, tail formulas, and the jump-mean constant."""
+"""Stable increment sampling and the jump-mean constant."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 from scipy.special import gamma
 
 from looptrees.stable_law import (
     StableParams,
     beta_root,
     expected_max_jump,
-    levy_tail,
     sample_increment,
 )
 
@@ -73,37 +72,6 @@ def test_tail_ordering_by_alpha():
         sample_increment(StableParams(1.8), 1.0, rng, size=10**6), 0.999
     )
     assert q_low > q_high
-
-
-def test_levy_tail_closed_form_and_scaling():
-    for alpha in (1.2, 1.5, 1.8):
-        p = StableParams(alpha)
-        want = (alpha - 1.0) / gamma(2.0 - alpha)
-        assert levy_tail(p, 1.0) == pytest.approx(want, rel=1e-12)
-    p = StableParams(1.5)
-    assert levy_tail(p, 2.0) == pytest.approx(
-        levy_tail(p, 1.0) * 2.0**-1.5, rel=1e-12
-    )
-    # r**alpha * tail(r) constant in r
-    rs = np.array([0.1, 0.7, 3.0, 40.0])
-    vals = np.array([levy_tail(p, r) * r**1.5 for r in rs])
-    assert np.allclose(vals, vals[0], rtol=1e-12)
-
-
-def test_levy_tail_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        levy_tail(StableParams(1.5), 0.0)
-    with pytest.raises(ValueError):
-        levy_tail(StableParams(1.5), -2.0)
-
-
-def test_levy_tail_against_quadrature():
-    alpha = 1.5
-    p = StableParams(alpha)
-    dens = lambda r: alpha * (alpha - 1.0) / gamma(2.0 - alpha) * r ** (-alpha - 1.0)
-    got = levy_tail(p, 0.5)
-    want, err = integrate.quad(dens, 0.5, np.inf)
-    assert abs(got - want) <= 1e-6 * want
 
 
 def _series(alpha: float, beta: float) -> float:
