@@ -33,6 +33,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # an option ahead of the subcommand would be read as its name
+        args = sys.argv[1:] if args is None else list(args)
+        if self._subparsers and args[:1] and args[0] not in ("-h", "--help") \
+                and args[0].startswith("-"):
+            what = self._get_positional_actions()[0].dest
+            self.error(f"option {args[0]} must follow the {what}")
+        return super().parse_known_args(args, namespace)
+
 
 def _int_at_least(low: int):
     """Option type for an integer no smaller than ``low``."""

@@ -10,11 +10,14 @@ last child; a unary vertex is joined to its child by two parallel edges.
 
 Distances in both graphs also come in closed form from the Lukasiewicz
 walk, so neither graph has to be built to measure them.  Both vertices of
-a pair climb to their most recent common ancestor, and every cycle on the
-way adds the circular gap between two slots; each vertex's slot on its
-parent's cycle is cached on the walk's genealogy.  loop_distances climbs
-whole arrays of pairs in lockstep, in either graph, and
-loop_prime_distance runs the same climb for one pair of the second graph.
+a pair climb the walk's genealogy to their most recent common ancestor, and
+every cycle on the way adds the circular gap between two slots.  One climb
+serves three conventions, which differ only in a vertex's slot on its
+parent's cycle and in a cycle's length: slot pos on steps + 2 slots in the
+sibling-joined graph, the same but steps + 1 slots at the root in the corner
+graph, and slot pos - 1 on steps slots in the continuous looptree of
+excursion_metric.  loop_distances climbs arrays of pairs in lockstep, and
+loop_prime_distance climbs one pair.
 """
 
 from __future__ import annotations
@@ -197,6 +200,14 @@ def loop_prime_distance(path: LukasiewiczPath, i: int, j: int) -> int:
     straight from the walk: the climb of loop_distances run for one pair,
     where every cycle, the root's included, has child count plus one slots.
     """
+    return _pair_climb(path, i, j, 0, 2)
+
+
+def _pair_climb(path: LukasiewiczPath, i: int, j: int, shift: int,
+                extra: int) -> int:
+    """The climb of one pair of vertices, where a vertex sits at slot
+    pos + ``shift`` of its parent's cycle and a cycle has steps + ``extra``
+    slots; a vertex's own slot on its own cycle is 0."""
     n = path.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"vertex pair ({i}, {j}) out of range [0, {n})")
@@ -208,19 +219,19 @@ def loop_prime_distance(path: LukasiewiczPath, i: int, j: int) -> int:
     total = 0
     meet = int(parent[hi])
     while meet > lo:
-        x = int(pos[hi])
-        total += min(x, int(steps[meet]) + 2 - x)
+        x = int(pos[hi]) + shift
+        total += min(x, int(steps[meet]) + extra - x)
         hi, meet = meet, int(parent[meet])
     x_lo = 0  # lo's own slot, when lo is the meeting vertex
     if meet != lo:
         a = int(parent[lo])
         while a > meet:
-            x = int(pos[lo])
-            total += min(x, int(steps[a]) + 2 - x)
+            x = int(pos[lo]) + shift
+            total += min(x, int(steps[a]) + extra - x)
             lo, a = a, int(parent[a])
-        x_lo = int(pos[lo])
-    width = abs(int(pos[hi]) - x_lo)
-    return total + min(width, int(steps[meet]) + 2 - width)
+        x_lo = int(pos[lo]) + shift
+    width = abs(int(pos[hi]) + shift - x_lo)
+    return total + min(width, int(steps[meet]) + extra - width)
 
 
 def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,
@@ -248,29 +259,38 @@ def loop_distances(path: LukasiewiczPath, i, j, root_cycle: int) -> np.ndarray:
     cycle of k + 1 slots.  Only the root's cycle length is a convention, and
     it is ``root_cycle``: k + 1 for the sibling-joined graph of
     build_loop_prime, k for the corner graph of build_loop (whose vertex
-    v - 1 stands for tree vertex v; vertex 0 has no corner there).  Both
-    vertices climb to their most recent common ancestor, adding the gap from
-    position 0 on each cycle they cross, and the two branch positions add
-    their gap on the meeting cycle.  All pairs climb together, one parent
-    step per round.
+    v - 1 stands for tree vertex v; vertex 0 has no corner there).
     """
     n = path.n
     a, b = np.broadcast_arrays(np.asarray(i, dtype=np.int64),
                                np.asarray(j, dtype=np.int64))
-    shape = a.shape
     lo = np.minimum(a, b).ravel()
     hi = np.maximum(a, b).ravel()
     if lo.size and (lo.min() < 0 or hi.max() >= n):
         raise IndexError(f"vertex index out of range [0, {n})")
-    idx = path._ensure_index()
-    parent, pos = idx.parent, idx.pos
     cycle = path.steps + 2
     cycle[0] = root_cycle
-    step_up = np.minimum(pos, cycle[parent] - pos)  # gap from slot 0 to pos
+    return _lockstep_climb(path, path._ensure_index().pos, cycle, lo,
+                           hi).reshape(a.shape)
+
+
+def _lockstep_climb(path: LukasiewiczPath, slot: np.ndarray,
+                    cycle: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """The climb of the pairs lo[k] <= hi[k], all in lockstep, where vertex
+    v sits at ``slot[v]`` of its parent's cycle of ``cycle[parent]`` slots.
+
+    Both vertices climb to their most recent common ancestor, adding the
+    gap from slot 0 on each cycle they cross, and the two branch slots add
+    their gap on the meeting cycle; lo's own slot is 0 when lo is that
+    ancestor.  All pairs climb together, one parent step per round.
+    """
+    parent = path._ensure_index().parent
+    step_up = np.minimum(slot, cycle[parent] - slot)  # gap from slot 0
     c_hi, sum_hi = _climb(parent, step_up, hi, lo)
     meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
     c_lo, sum_lo = _climb(parent, step_up, lo, meet)
-    width = np.abs(pos[c_hi] - np.where(lo == meet, 0, pos[c_lo]))
+    width = np.abs(slot[c_hi] - np.where(lo == meet, 0, slot[c_lo]))
     out = sum_lo + sum_hi + np.minimum(width, cycle[meet] - width)
     out[lo == hi] = 0
-    return out.reshape(shape)
+    return out

@@ -1,12 +1,14 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
 the i.i.d. offspring sampler that the rejection oracles draw from, the
 chord-walk oracle for the dual tree of a dissection, the level-by-level
-oracle for the bridge, and the Gromov-Hausdorff bound of an explicit
-correspondence between distance matrices."""
+oracle for the bridge, the Gromov-Hausdorff bound of an explicit
+correspondence between distance matrices, and the float stack genealogy and
+float climb of a jump path."""
 
 from __future__ import annotations
 
 import bisect
+import math
 import weakref
 
 import numpy as np
@@ -187,6 +189,63 @@ def gh_upper_bound(corr, dX, dY) -> float:
     a = pairs[:, 0]
     b = pairs[:, 1]
     return float(np.abs(dX[np.ix_(a, a)] - dY[np.ix_(b, b)]).max()) / 2.0
+
+
+def left_limits(path) -> np.ndarray:
+    """Value minus jump at every time of a jump path, in floats."""
+    return path.values - path.jumps
+
+
+def stack_parent(path) -> np.ndarray:
+    """Oracle for the genealogy of a jump path, read from its float values
+    alone: the parent of t is the latest earlier index whose left limit
+    stays below everything up to t, found by one stack pass."""
+    n = path.n
+    v = path.values[:n].tolist()
+    lim = left_limits(path)[:n].tolist()
+    parent = [-1] * n
+    stack = [0]
+    for t in range(1, n):
+        vt = v[t]
+        while lim[stack[-1]] > vt:
+            stack.pop()
+        parent[t] = stack[-1]
+        stack.append(t)
+    return np.array(parent, dtype=np.int64)
+
+
+def float_looptree_distance(path, s: int, t: int, parent=None) -> float:
+    """Oracle for excursion_metric.looptree_distance in floats, on the stack
+    genealogy: each branch climbs to the most recent common ancestor, adding
+    the circular gap inside the jump of every chain element it leaves; the
+    position inside a jump is the running minimum minus the left limit."""
+    if s == t:
+        return 0.0
+    if s > t:
+        s, t = t, s
+    if parent is None:
+        parent = stack_parent(path)
+    v, lim, jump = path.values, left_limits(path), path.jumps
+
+    def gap(width, cycle):
+        return min(width, cycle - width)
+
+    def branch(cur, stop):
+        total, running = 0.0, math.inf
+        while cur > stop:
+            x = min(v[cur], running) - lim[cur]
+            total += gap(x, jump[cur])
+            running = min(running, v[cur])
+            cur = int(parent[cur])
+        return total, cur, running
+
+    sum_t, meet, running = branch(t, s)
+    x_t = min(v[meet], running) - lim[meet]
+    if meet == s:
+        return gap(x_t, jump[s]) + sum_t
+    sum_s, _, running = branch(s, meet)
+    x_s = min(v[meet], running) - lim[meet]
+    return sum_s + sum_t + gap(abs(x_t - x_s), jump[meet])
 
 
 def enumerate_plane_trees(n: int) -> list[PlaneTree]:

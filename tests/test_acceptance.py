@@ -36,7 +36,7 @@ from looptrees.gw_tree import (
 from looptrees.looptree import build_loop, build_loop_prime, loop_prime_distance
 from looptrees.stable_law import StableParams, beta_root
 
-from conftest import gh_upper_bound
+from conftest import gh_upper_bound, left_limits, stack_parent
 
 
 _capture = None
@@ -117,7 +117,8 @@ def test_criterion_03_chain_bounds_on_rescaled_paths():
         rng = stream(103, rep)
         tree = sample_conditioned_tree(law, 10_000, rng)
         p = rescale(encode_tree(tree), b)
-        v, lim = p.values, p.left_limits
+        v, lim = p.values, left_limits(p)
+        parent = stack_parent(p)
         for _ in range(50):
             s, t = sorted(int(x) for x in rng.integers(0, p.n, size=2))
             if s == t:
@@ -131,7 +132,6 @@ def test_criterion_03_chain_bounds_on_rescaled_paths():
             # s is an ancestor of t: every strict chain element gives a
             # lower bound min(x, jump - x)
             cur = t
-            parent = p._ensure_parent()
             running = v[t]
             while True:
                 a = int(parent[cur])

@@ -197,6 +197,9 @@ def test_reports_are_strict_json(tmp_path):
     ("experiment", "laplace-check", "--format", "svg"),
     # a dissection needs at least two leaves
     ("sample", "dissection", "--n", "1"),
+    # an option placed before the kind or the experiment name
+    ("sample", "--n", "40", "tree"),
+    ("experiment", "--seed", "3", "dimension"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -205,7 +208,8 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and argv[2] in lines[0]
+    option = next(arg for arg in argv if arg.startswith("--"))
+    assert len(lines) == 1 and option in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,4 @@
-"""Continuous-convention looptree pseudo-metric on finite jump paths."""
+"""Continuous-convention looptree pseudo-metric on rescaled walks."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from looptrees.excursion_metric import (
-    JumpPath,
     distance_from_root,
     looptree_distance,
-    max_jump,
     rescale,
 )
 from looptrees.gw_tree import (
+    LukasiewiczPath,
     PlaneTree,
     encode_tree,
     sample_conditioned_tree,
@@ -22,16 +21,18 @@ from looptrees.gw_tree import (
 )
 from looptrees.looptree import loop_prime_distance
 
+from conftest import float_looptree_distance, left_limits, stack_parent
+
 
 # ---- brute-force reference, straight from the defining formulas ----
 
 def brute_ancestors(path, t):
-    v, lim = path.values, path.left_limits
+    v, lim = path.values, left_limits(path)
     return [s for s in range(t + 1) if lim[s] <= v[s:t + 1].min()]
 
 
 def brute_x(path, r, t):
-    return path.values[r:t + 1].min() - path.left_limits[r]
+    return path.values[r:t + 1].min() - left_limits(path)[r]
 
 
 def brute_gap(w, c):
@@ -66,84 +67,52 @@ def brute_distance(path, s, t):
     )
 
 
-# ---- the earlier single-query climbs, kept as bit-for-bit oracles ----
+# ---- the float climb that tells ancestor pairs apart another way ----
 
-def _gap(width, cycle):
-    return min(width, cycle - width)
-
-
-def climb_root_distance(path, t):
-    """distance_from_root one time at a time: climb the ancestors of t,
-    adding jump * min(u, 1 - u) wherever there is a jump."""
-    parent = path._ensure_parent()
-    v, lim, jump = path.values, path.left_limits, path.jumps
-    total = 0.0
-    running = math.inf
-    cur = t
-    while cur != -1:
-        if jump[cur] > 0.0:
-            x = min(v[cur], running) - lim[cur]
-            u = x / jump[cur]
-            total += jump[cur] * min(u, 1.0 - u)
-        running = min(running, v[cur])
-        cur = int(parent[cur])
-    return total
-
-
-def window_min_looptree_distance(path, s, t):
-    """looptree_distance that tells ancestor pairs apart by the window
-    minimum of the values between s and t."""
+def window_min_looptree_distance(path, s, t, parent):
+    """looptree_distance in floats on the stack genealogy ``parent``, telling
+    ancestor pairs apart by the window minimum of the values between s and
+    t."""
     if s == t:
         return 0.0
     if s > t:
         s, t = t, s
-    parent = path._ensure_parent()
-    v, lim, jump = path.values, path.left_limits, path.jumps
+    v, lim, jump = path.values, left_limits(path), path.jumps
+
+    def gap(width, cycle):
+        return min(width, cycle - width)
 
     def climb(cur, stop):
         total, running = 0.0, math.inf
         while cur > stop:
             x = min(v[cur], running) - lim[cur]
-            total += _gap(x, jump[cur])
+            total += gap(x, jump[cur])
             running = min(running, v[cur])
             cur = int(parent[cur])
         return total, cur, running
 
     window_min = float(v[s:t + 1].min())
     if lim[s] <= window_min:
-        return _gap(window_min - lim[s], jump[s]) + climb(t, s)[0]
+        return gap(window_min - lim[s], jump[s]) + climb(t, s)[0]
     sum_t, meet, running = climb(t, s)
     x_t = min(v[meet], running) - lim[meet]
     sum_s, _, running = climb(s, meet)
     x_s = min(v[meet], running) - lim[meet]
-    return sum_s + sum_t + _gap(abs(x_t - x_s), jump[meet])
+    return sum_s + sum_t + gap(abs(x_t - x_s), jump[meet])
 
 
-def random_jump_path(rng, n, float_steps=True):
-    v = [0.0]
-    for _ in range(n - 1):
-        step = rng.uniform(-1.2, 1.6) if float_steps else int(rng.integers(-1, 4))
-        v.append(max(0.0, v[-1] + step))
-    v.append(v[-1] + rng.uniform(-2.0, 1.0))
-    return JumpPath(np.array(v))
+def random_walk(rng, n_max):
+    """The walk of a conditioned stable tree of random index and size, with
+    its scaling constant."""
+    law = stable_offspring(float(rng.uniform(1.05, 1.95)))
+    n = int(rng.integers(2, n_max))
+    return encode_tree(sample_conditioned_tree(law, n, rng)), law.scaling_constant(n)
 
 
 # ---- construction and simple exports ----
 
-def test_jump_path_validation():
-    with pytest.raises(ValueError):
-        JumpPath([1.0, 2.0, -1.0])  # does not start at 0
-    with pytest.raises(ValueError):
-        JumpPath([0.0, 1.0, -0.5, 2.0, -1.0])  # dips negative mid-path
-    with pytest.raises(ValueError):
-        JumpPath([0.0])  # too short
-    with pytest.raises(ValueError):
-        JumpPath([0.0, np.inf, -1.0])
-    JumpPath([0.0, 1.0, -1.0])  # endpoint may go negative
-
-
 def test_index_validation():
-    p = JumpPath([0.0, 1.0, -1.0])
+    p = rescale(LukasiewiczPath([0, -1]), 1.0)
     with pytest.raises(IndexError):
         looptree_distance(p, 0, 2)
     with pytest.raises(IndexError):
@@ -156,15 +125,17 @@ def test_rescale_and_max_jump():
     jp1 = rescale(path, 1.0)
     jp2 = rescale(path, 2.0)
     assert np.allclose(jp2.values * 2, path.values)
-    assert max_jump(jp2) * 2 == max_jump(jp1)
-    assert max_jump(jp1) == path.steps.max()
+    assert jp2.jumps.max() * 2 == jp1.jumps.max()
+    assert jp1.jumps.max() == path.steps.max()
     with pytest.raises(ValueError):
         rescale(path, 0.0)
 
 
 def test_walk_view_and_csv():
-    w = JumpPath(np.array([0, 1, 2, 1, 0, -1], dtype=float))
-    assert w.n == 5 and w.source_size == 5
+    walk = LukasiewiczPath([1, 1, -1, -1, -1])
+    w = rescale(walk, 1.0)
+    assert w.n == 5 and w.walk is walk
+    assert list(w.values) == [0, 1, 2, 1, 0, -1]
     assert list(w.jumps) == [0, 1, 1, 0, 0, 0]
     csv = w.to_csv()
     lines = csv.splitlines()
@@ -173,35 +144,34 @@ def test_walk_view_and_csv():
     assert "np." not in csv
 
 
-def test_max_jump_hand_example():
-    p = JumpPath([0.0, 0.1, 0.8, 1.0, -0.2])
-    assert max_jump(p) == pytest.approx(0.7)
-
-
 # ---- agreement with the brute-force formulas ----
 
 def test_parent_array_matches_brute_force(rng_factory):
+    # at scale 1 the float stack is exact, and it is the walk's genealogy:
+    # t - 1 after a step >= 0, one past the tree parent after a -1 step
     rng = rng_factory(30)
     for _ in range(120):
-        n = int(rng.integers(2, 40))
-        p = random_jump_path(rng, n, float_steps=bool(rng.integers(0, 2)))
-        par = p._ensure_parent().tolist()
+        walk, _ = random_walk(rng, 40)
+        p = rescale(walk, 1.0)
+        par = stack_parent(p)
         for t in range(p.n):
             anc = brute_ancestors(p, t)
-            want = max([s for s in anc if s < t], default=-1)
-            assert par[t] == want
+            assert par[t] == max([s for s in anc if s < t], default=-1)
+        t = np.arange(1, p.n)
+        tree_parent = walk._ensure_index().parent[1:]
+        assert par[1:].tolist() == np.where(walk.steps[:-1] >= 0, t - 1,
+                                            tree_parent + 1).tolist()
 
 
 def test_distance_matches_brute_force(rng_factory):
     rng = rng_factory(31)
     for _ in range(200):
-        n = int(rng.integers(2, 35))
-        p = random_jump_path(rng, n, float_steps=bool(rng.integers(0, 2)))
+        walk, b = random_walk(rng, 35)
+        p = rescale(walk, (1.0, b, float(rng.uniform(0.1, 10.0)))[rng.integers(0, 3)])
         for _ in range(30):
             s, t = (int(x) for x in rng.integers(0, p.n, size=2))
-            got = looptree_distance(p, s, t)
             want = brute_distance(p, s, t)
-            assert abs(got - want) < 1e-12
+            assert abs(looptree_distance(p, s, t) - want) <= 1e-12 * max(1, want)
 
 
 def test_distance_matches_brute_force_on_tree_walks(rng_factory):
@@ -220,42 +190,82 @@ def test_distance_matches_brute_force_on_tree_walks(rng_factory):
 
 
 def test_batched_root_distance_is_the_single_time_climb_bit_for_bit(rng_factory):
+    # the lockstep root row, the same row one time at a time, and the pair
+    # climb from time 0 are one number
     rng = rng_factory(36)
+    paths = []
     for _ in range(60):
-        p = random_jump_path(rng, int(rng.integers(2, 60)),
-                             float_steps=bool(rng.integers(0, 2)))
-        times = np.arange(p.n)
-        want = [climb_root_distance(p, int(t)) for t in times]
-        assert distance_from_root(p, times).tolist() == want
-        assert [distance_from_root(p, int(t)) for t in times] == want
+        walk, b = random_walk(rng, 60)
+        paths.append((rescale(walk, b), np.arange(walk.n)))
     for alpha in (1.05, 1.5, 1.95):
         law = stable_offspring(alpha)
         n = 20_000
         p = rescale(encode_tree(sample_conditioned_tree(law, n, rng)),
                     law.scaling_constant(n))
-        times = rng.integers(0, n, size=300)
-        want = [climb_root_distance(p, int(t)) for t in times]
+        paths.append((p, rng.integers(0, n, size=300)))
+    for p, times in paths:
+        want = [looptree_distance(p, 0, int(t)) for t in times]
         assert distance_from_root(p, times).tolist() == want
-        assert [distance_from_root(p, int(t)) for t in times[:50]] == want[:50]
+        assert [distance_from_root(p, int(t)) for t in times] == want
 
 
 def test_distance_is_the_window_minimum_climb_bit_for_bit(rng_factory):
+    # at scale 1 every float in the climbs is an integer, so the float
+    # climbs on the stack genealogy are exact
     rng = rng_factory(37)
     for _ in range(150):
-        p = random_jump_path(rng, int(rng.integers(2, 40)),
-                             float_steps=bool(rng.integers(0, 2)))
+        p = rescale(random_walk(rng, 40)[0], 1.0)
+        parent = stack_parent(p)
         for s in range(p.n):
             for t in range(p.n):
+                want = window_min_looptree_distance(p, s, t, parent)
+                assert looptree_distance(p, s, t) == want
+                assert float_looptree_distance(p, s, t, parent) == want
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for n in (64, 4096, 32_768):
+            p = rescale(encode_tree(sample_conditioned_tree(law, n, rng)), 1.0)
+            parent = stack_parent(p)
+            for s, t in rng.integers(0, n, size=(1000, 2)).tolist():
                 assert looptree_distance(p, s, t) == \
-                    window_min_looptree_distance(p, s, t)
+                    window_min_looptree_distance(p, s, t, parent)
+
+
+def test_distances_are_the_integer_climb_over_the_scale(rng_factory):
+    # at B_n both distances are the exact scale-1 climb divided by B_n, bit
+    # for bit, and the float climb at B_n agrees to rounding
+    rng = rng_factory(38)
     for alpha in (1.05, 1.5, 1.95):
         law = stable_offspring(alpha)
         for n in (64, 4096, 32_768):
             lp = encode_tree(sample_conditioned_tree(law, n, rng))
-            for p in (rescale(lp, 1.0), rescale(lp, law.scaling_constant(n))):
-                for s, t in rng.integers(0, n, size=(1000, 2)).tolist():
-                    assert looptree_distance(p, s, t) == \
-                        window_min_looptree_distance(p, s, t)
+            b = law.scaling_constant(n)
+            p1, p = rescale(lp, 1.0), rescale(lp, b)
+            parent1, parent = stack_parent(p1), stack_parent(p)
+            pairs = rng.integers(0, n, size=(300, 2)).tolist()
+            for s, t in pairs:
+                exact = float_looptree_distance(p1, s, t, parent1)
+                assert exact == round(exact)
+                got = looptree_distance(p, s, t)
+                assert got == exact / b
+                assert abs(float_looptree_distance(p, s, t, parent) - got) \
+                    <= 1e-12 * max(1.0, got)
+            times = np.array([t for _, t in pairs])
+            exact = [float_looptree_distance(p1, 0, t, parent1) for t in times]
+            assert distance_from_root(p, times).tolist() == [e / b for e in exact]
+
+
+def test_tie_point_is_at_distance_exactly_zero():
+    # time 4 is the last child of vertex 1, which is the first child of the
+    # root on a loop of length 1, so time 4 is the root's point.  At scale
+    # 1.9 the float left limit of time 2 (value minus jump) rounds one ulp
+    # below the value at time 4, which would put time 4 inside that jump
+    p = rescale(encode_tree(PlaneTree([2, 3, 0, 0, 0, 0])), 1.9)
+    assert left_limits(p)[2] < p.values[4] == p.values[1]
+    assert distance_from_root(p, 4) == 0.0
+    assert distance_from_root(p, np.arange(6))[4] == 0.0
+    for s in (0, 1, 2, 5):
+        assert looptree_distance(p, s, 4) == 0.0
 
 
 def test_root_distance_shapes_and_validation():
@@ -309,7 +319,7 @@ def test_ancestor_case_is_a_chain_sum(rng_factory):
         n = int(rng.integers(5, 150))
         tree = sample_conditioned_tree(law, n, rng)
         p = rescale(encode_tree(tree), 1.0)
-        v, lim = p.values, p.left_limits
+        v, lim = p.values, left_limits(p)
         for t in range(1, p.n):
             anc = brute_ancestors(p, t)
             s = anc[len(anc) // 2]
@@ -331,7 +341,7 @@ def test_chain_lower_and_window_upper_bounds(rng_factory):
         n = int(rng.integers(10, 300))
         tree = sample_conditioned_tree(law, n, rng)
         p = rescale(encode_tree(tree), law.scaling_constant(n))
-        v, lim = p.values, p.left_limits
+        v, lim = p.values, left_limits(p)
         for _ in range(40):
             s, t = sorted(int(x) for x in rng.integers(0, p.n, size=2))
             if s == t:

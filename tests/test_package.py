@@ -40,7 +40,7 @@ def test_root_all_is_the_module_lists():
 
 @pytest.mark.parametrize("name", [
     "FiniteMetric", "bfs_metric", "gh_upper_bound", "circle_metric",
-    "tree_metric", "crt_comparator", "levy_tail",
+    "tree_metric", "crt_comparator", "levy_tail", "max_jump",
 ])
 def test_removed_names_are_gone(name):
     assert not hasattr(looptrees, name)
