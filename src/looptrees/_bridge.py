@@ -16,6 +16,35 @@ their order) depends on n alone.  It is built once per n as a split plan,
 kept in the same cache under a key of n alone and so shared by every law and
 by the block tables of sample_boltzmann; a sample then only computes the
 segment totals and draws.
+
+Each group of equal-size segments takes one uniform u per segment, in
+order, before any of its draws, and each segment inverts its own conditional
+CDF at u, in one of three forms:
+
+* CDF rows.  A group with at least _ROW_SEGMENTS segments of total
+  t <= _ROW_TOTAL draws those from rows built with the tables: row t holds
+  t + P(J <= j | t), j = 0..t, so the rows laid end to end ascend and a
+  search of t + u finds the draw.  A guide of the draws at _GUIDE cell edges
+  of u spares most of the searches.  Row values lie below _ROW_TOTAL + 2,
+  where floats are 2**-46 apart, so a row holds its CDF to about 2**-46 of
+  its mass.
+* Alone.  A segment of total t >= _ALONE_TOTAL is drawn by itself: a
+  cumulative sum over the sums of blocks of _BLOCK weights finds the block,
+  and a cumulative sum inside that block the draw.  Both sums start from 0,
+  so the CDF is held to about (t / _BLOCK + _BLOCK) * 2**-53 of its mass,
+  under 1e-12 for t < 10**6.
+* Shared.  The other segments of a group share one cumulative sum.  Each is
+  first scaled to 2**e integer units, e = 62 - bit_length(segments), and the
+  sum runs in int64, so it is exact and cannot overflow.  Truncating the
+  t + 1 <= _ALONE_TOTAL weights to whole units moves the CDF by less than
+  (t + 1) * 2**-e of the segment's mass, and float rounding adds about
+  (t + 1) * 2**-52.  A group has at most n/2 segments, so for n <= 10**6
+  that is below 2**12 * 2**-43 = 2**-31 (4.7e-10).
+
+So every draw inverts its own segment's CDF to within 1e-9 of that segment's
+mass for every n up to 10**6, however small that mass is next to the other
+segments of its group (a mass below 2**-960 gets fewer units), and no draw
+lands on a value of zero weight.
 """
 
 from __future__ import annotations
@@ -34,9 +63,31 @@ _EXACT_CONV_LIMIT = 4096
 # bytes of bridge tables and split plans kept across calls; the newest entry
 # stays even when it alone is larger, so any n still samples
 _TABLE_CACHE_BYTES = 128 * 2**20
-# a group of segments at least this long on average forms its weights slice
-# by slice; shorter ones gather them through index arrays
+# a group of at least _ROW_SEGMENTS segments with totals <= _ROW_TOTAL draws
+# those from CDF rows; the tables hold rows for every segment size that some
+# level of the split holds that often, so n < 2 * _ROW_SEGMENTS builds none;
+# the rows of a size hold (_ROW_TOTAL + 1) * (_ROW_TOTAL + 2) / 2 floats
+_ROW_TOTAL = 64
+_ROW_SEGMENTS = 1024
+# the guide of the rows of a size splits the u of each row into _GUIDE cells
+# and holds the draw at every cell edge (see _draw_rows), as int8: a draw is
+# at most _ROW_TOTAL + 1
+_GUIDE = 128
+# a segment of at least this total is drawn alone, by blocks of _BLOCK weights
+_ALONE_TOTAL = 4096
+_BLOCK = 256
+# segments at least this long on average form their weights slice by slice;
+# shorter ones gather them through index arrays
 _LONG_SEGMENTS = 128
+
+_ROW_K = np.arange(_ROW_TOTAL + 1)
+# where row t starts, and the largest float below t + 1, which caps the
+# search value of row t when t + u rounds up to t + 1
+_ROW_START = _ROW_K * (_ROW_K + 1) // 2
+_ROW_CAP = np.nextafter(_ROW_K + 1.0, 0.0)
+
+_NO_VALUE = ("a conditional draw has no admissible value; "
+             "the convolution table lost too much precision")
 
 
 class _TableCache:
@@ -136,32 +187,38 @@ def _half_sizes(n: int) -> list:
     return sorted(sizes)
 
 
-def _convolve_window(pa: np.ndarray, pb: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the convolution of pa and pb, in an array of its own
-    (a slice would pin the whole length-(2n - 1) result)."""
-    if n <= _EXACT_CONV_LIMIT:
-        return np.convolve(pa, pb)[:n].copy()
-    # the transforms scipy.signal.fftconvolve runs, bit for bit
-    f = next_fast_len(pa.size + pb.size - 1, True)
-    spec = rfft(pa, f)
-    spec *= spec if pb is pa else rfft(pb, f)
-    out = irfft(spec, f)[:n].copy()
-    np.clip(out, 0.0, None, out=out)
-    return out
+def _row_sizes(n: int) -> list:
+    """Segment sizes m >= 2 that some level of the split of n holds at least
+    _ROW_SEGMENTS times.  While its sizes are at least 1, level k holds
+    n mod 2**k segments of size ceil(n / 2**k) and the rest of size
+    floor(n / 2**k)."""
+    sizes = set()
+    k = 1
+    while k <= n:
+        q, r = divmod(n, k)
+        for m, count in ((q + 1, r), (q, k - r)):
+            if m >= 2 and count >= _ROW_SEGMENTS:
+                sizes.add(m)
+        k *= 2
+    return sorted(sizes)
 
 
 def _sum_pmf_tables(window: np.ndarray) -> dict:
     """pmf of S_m on [0, n-1] for every half size m < n, built by
     convolution from ``window``, the single-draw pmf on [0, n-1].  Of S_n the
     bridge reads only P(S_n = n-1), so ``tables[n]`` holds that one value:
-    0.0 when no n draws sum to n-1."""
+    0.0 when no n draws sum to n-1.  For each segment size m in
+    _row_sizes(n), ``tables[("rows", m)]`` and ``tables[("guide", m)]`` hold
+    its CDF rows and their guide (see _cdf_rows)."""
     n = window.size
     tables = {1: window}
-    for m in _half_sizes(n)[:-1]:
-        if m == 1:
-            continue
-        a = (m + 1) // 2
-        tables[m] = _convolve_window(tables[a], tables[m - a], n)
+    sizes = [m for m in _half_sizes(n)[:-1] if m > 1]
+    if n <= _EXACT_CONV_LIMIT:
+        for m in sizes:
+            a = (m + 1) // 2
+            tables[m] = np.convolve(tables[a], tables[m - a])[:n].copy()
+    else:
+        _fft_tables(tables, sizes, n)
     a = (n + 1) // 2
     tables[n] = np.dot(tables[a], tables[n - a][::-1])
     # FFT tables hold float noise where exact zeros belong, so that sum
@@ -169,7 +226,57 @@ def _sum_pmf_tables(window: np.ndarray) -> dict:
     # multiple of the gcd of the law's positive support points
     if n > _EXACT_CONV_LIMIT and (n - 1) % np.gcd.reduce(np.flatnonzero(window[1:]) + 1):
         tables[n] = np.float64(0.0)
+    for m in _row_sizes(n):
+        a = (m + 1) // 2
+        tables[("rows", m)], tables[("guide", m)] = _cdf_rows(tables[a], tables[m - a])
     return tables
+
+
+def _fft_tables(tables: dict, sizes: list, n: int) -> None:
+    """Add to ``tables`` the first n terms of the convolution of the two
+    halves of each size in ``sizes`` (ascending), each in an array of its own
+    and clipped at 0.  These are the transforms scipy.signal.fftconvolve
+    runs, bit for bit, except that each table is transformed once and its
+    spectrum freed after its last use."""
+    f = next_fast_len(2 * n - 1, True)
+    last_use = {}
+    for m in sizes:
+        a = (m + 1) // 2
+        last_use[a] = last_use[m - a] = m
+    # every table is allocated before the first transform, so the kept
+    # tables lie together and the transforms leave no holes between them
+    for m in sizes:
+        tables[m] = np.empty(n)
+    spectra = {}
+    for m in sizes:
+        a = (m + 1) // 2
+        for k in (a, m - a):
+            if k not in spectra:
+                spectra[k] = rfft(tables[k], f)
+        np.clip(irfft(spectra[a] * spectra[m - a], f)[:n], 0.0, None, out=tables[m])
+        for k in (a, m - a):
+            if last_use[k] == m:
+                spectra.pop(k, None)
+
+
+def _cdf_rows(pa: np.ndarray, pb: np.ndarray):
+    """The CDF rows of the segments whose halves have pmfs pa and pb, and
+    their guide (see _draw_rows).  Row t, t = 0.._ROW_TOTAL, starts at
+    _ROW_START[t] and holds t + P(J <= j | t), j = 0..t, for the left half's
+    total J, summed on its own.  A row that no pair of totals reaches holds
+    t throughout, so the rows still ascend; a draw from it is an error.  The
+    guide holds, for each row, the draw at each of the _GUIDE + 1 cell edges
+    g / _GUIDE of u."""
+    k = _ROW_K
+    lower = k[:, None] >= k  # j <= t
+    w = np.where(lower, pa[k] * pb[np.abs(k[:, None] - k)], 0.0)
+    cdf = np.cumsum(w, axis=1)
+    mass = cdf[:, -1:]
+    np.divide(cdf, mass, out=cdf, where=mass > 0.0)
+    rows = (cdf + k[:, None])[lower]
+    edges = np.minimum(k[:, None] + np.arange(_GUIDE + 1) / _GUIDE, _ROW_CAP[:, None])
+    guide = np.searchsorted(rows, edges, side="right") - _ROW_START[:, None]
+    return rows, guide.astype(np.int8).ravel()
 
 
 def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,21 +291,133 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
     return _bridge(tables, plan, rng)
 
 
-def _draw_in_segments(w: np.ndarray, offsets: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One draw per segment w[offsets[i]:offsets[i+1]] with probabilities
-    proportional to w, as an index relative to the segment's start."""
-    cum = np.cumsum(w)
-    ends = offsets[1:] - 1
-    seg_sum = np.add.reduceat(w, offsets[:-1])
-    if np.any(seg_sum <= 0.0):
-        raise RuntimeError(
-            "a conditional draw has no admissible value; "
-            "the convolution table lost too much precision"
-        )
-    target = (cum[ends] - seg_sum) + rng.random(ends.size) * seg_sum
-    g = np.searchsorted(cum, target, side="left")
-    return np.clip(g, offsets[:-1], ends) - offsets[:-1]
+def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+    """One draw per segment w[offsets[i]:offsets[i+1]], of length
+    lengths[i], with probabilities proportional to w, by inverting its CDF
+    at u[i], as an index relative to the segment's start.  The segments
+    share one exact int64 cumulative sum of 2**e units each (see the module
+    docstring); the draw is the first j whose cumulative count exceeds u[i]
+    times the segment's.  Scales ``w`` in place."""
+    starts = offsets[:-1]
+    mass = np.add.reduceat(w, starts)
+    smallest = mass.min()
+    if not smallest > 2.0**-960:
+        if not smallest > 0.0:
+            raise RuntimeError(_NO_VALUE)
+        # a smaller mass would take the scale past the float range; such a
+        # segment gets fewer units
+        mass = np.maximum(mass, 2.0**-960)
+    w *= (2.0 ** (62 - starts.size.bit_length()) / mass).repeat(lengths)
+    cum = w.cumsum(dtype=np.int64)
+    edge = cum[offsets - 1]  # the count before each segment, then the total
+    edge[0] = 0
+    lo = edge[:-1]
+    # for u <= 1 - 2**-53 the float product rounds to at most the segment's
+    # count minus 1, so the search stays inside the segment
+    target = lo + (u * (edge[1:] - lo)).astype(np.int64)
+    return cum.searchsorted(target, side="right") - starts
+
+
+def _draw_rows(rows: np.ndarray, guide: np.ndarray, t: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """The draws of segments of totals t <= _ROW_TOTAL at uniforms u, from
+    the CDF rows of their size: the first j whose row value exceeds t + u.
+    The draw is monotone in u, so where the guide holds one draw at both
+    edges of the cell of u that is the draw; only the other u are searched,
+    with the same values as the guide."""
+    cell = (u * _GUIDE).astype(np.int64)
+    cell += t * (_GUIDE + 1)
+    j = guide[cell]
+    odd = np.flatnonzero(j != guide[cell + 1])
+    if odd.size:
+        to = t[odd]
+        j[odd] = np.searchsorted(rows, np.minimum(to + u[odd], _ROW_CAP[to]),
+                                 side="right") - _ROW_START[to]
+    if np.any(j > t):  # a row of zero mass
+        raise RuntimeError(_NO_VALUE)
+    return j
+
+
+def _draw_alone(pa: np.ndarray, pb: np.ndarray, t: int, u: float,
+                ramp: np.ndarray) -> int:
+    """The draw of one segment of total t at uniform u: the block of _BLOCK
+    weights where the CDF crosses u, then the place inside it."""
+    w = pa[:t + 1] * pb[t::-1]
+    blocks = np.cumsum(np.add.reduceat(w, ramp[:t + 1:_BLOCK]))
+    total = float(blocks[-1])
+    if not total > 0.0:
+        raise RuntimeError(_NO_VALUE)
+    # at least the least positive float, so that u = 0 takes the first
+    # value of positive weight
+    target = max(u * total, 5e-324)
+    k = int(np.searchsorted(blocks, target))
+    if k:
+        target -= float(blocks[k - 1])
+    inner = np.cumsum(w[k * _BLOCK:(k + 1) * _BLOCK])
+    return k * _BLOCK + int(np.searchsorted(inner, min(target, float(inner[-1]))))
+
+
+def _draw_group(tables: dict, a: int, b: int, t: np.ndarray, u: np.ndarray,
+                ramp: np.ndarray) -> np.ndarray:
+    """The left-half totals of a group of segments of size a + b with totals
+    t, drawn at the uniforms u."""
+    m = a + b
+    if ("rows", m) in tables:
+        small = t <= _ROW_TOTAL
+        if np.count_nonzero(small) >= _ROW_SEGMENTS:
+            j = np.empty_like(t)
+            j[small] = _draw_rows(tables[("rows", m)], tables[("guide", m)],
+                                  t[small], u[small])
+            rest = np.flatnonzero(~small)
+            if rest.size:
+                j[rest] = _draw_weighted(tables[a], tables[b], t[rest], u[rest], ramp)
+            return j
+    return _draw_weighted(tables[a], tables[b], t, u, ramp)
+
+
+def _draw_weighted(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
+                   u: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """The left-half totals of segments with totals t and halves of pmfs pa
+    and pb, drawn at the uniforms u from their weights: alone for totals of
+    at least _ALONE_TOTAL, the others on one shared cumulative sum."""
+    lengths = t + 1
+    offsets = np.zeros(t.size + 1, dtype=np.int64)
+    lengths.cumsum(out=offsets[1:])
+    if offsets[-1] > _ALONE_TOTAL:
+        alone = np.flatnonzero(t >= _ALONE_TOTAL)
+        if alone.size:
+            j = np.empty_like(t)
+            for i in alone.tolist():
+                j[i] = _draw_alone(pa, pb, int(t[i]), float(u[i]), ramp)
+            shared = np.flatnonzero(t < _ALONE_TOTAL)
+            if shared.size:
+                j[shared] = _draw_weighted(pa, pb, t[shared], u[shared], ramp)
+            return j
+    w = _segment_weights(pa, pb, t, offsets, ramp)
+    return _draw_in_segments(w, offsets, lengths, u)
+
+
+def _segment_weights(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
+                     offsets: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """The weights pa[j] * pb[t_i - j], j = 0..t_i, of every segment i laid
+    end to end from offsets[i]."""
+    flat = int(offsets[-1])
+    if flat >= _LONG_SEGMENTS * t.size:
+        # few long segments: a product of two slices each, with no indices
+        w = np.empty(flat)
+        for o, ti in zip(offsets.tolist(), t.tolist()):
+            np.multiply(pa[:ti + 1], pb[ti::-1], out=w[o:o + ti + 1])
+        return w
+    # j and t - j of every weight, each in one buffer of its own
+    lengths = t + 1
+    j = offsets[:-1].repeat(lengths)
+    np.subtract(ramp[:flat], j, out=j)
+    rest = (t + offsets[:-1]).repeat(lengths)
+    rest -= ramp[:flat]
+    w = pa[j]
+    w *= pb[rest]
+    return w
 
 
 def _split_plan(n: int) -> list:
@@ -222,7 +441,9 @@ def _split_plan(n: int) -> list:
             groups.append((a, m - a, sel.astype(np.int32)))
             next_size += [np.full(sel.size, a), np.full(sel.size, m - a)]
             next_start += [start[sel], start[sel] + a]
-        levels.append((leaves.astype(np.int32), start[leaves], groups))
+        # leaves are placed on every sample, so their indices are of the
+        # type numpy indexes with, which spares a conversion each time
+        levels.append((leaves, start[leaves].astype(np.intp), groups))
         if not groups:
             break
         size = np.concatenate(next_size)
@@ -230,28 +451,11 @@ def _split_plan(n: int) -> list:
     return levels
 
 
-def _segment_weights(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
-                     ramp: np.ndarray):
-    """The weights pa[j] * pb[t_i - j], j = 0..t_i, of every segment i laid
-    end to end, and the segments' offsets into them."""
-    lengths = t + 1
-    offsets = np.zeros(t.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = int(offsets[-1])
-    if flat >= _LONG_SEGMENTS * t.size:
-        # few long segments: a product of two slices each, with no indices
-        w = np.empty(flat)
-        for o, ti in zip(offsets.tolist(), t.tolist()):
-            np.multiply(pa[:ti + 1], pb[ti::-1], out=w[o:o + ti + 1])
-        return w, offsets
-    j = ramp[:flat] - np.repeat(offsets[:-1], lengths)
-    return pa[j] * pb[np.repeat(t, lengths) - j], offsets
-
-
 def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
     conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
-    ``plan`` from _split_plan(n)."""
+    ``plan`` from _split_plan(n).  Each group takes one uniform per segment
+    from ``rng``, drawn before any of its segments."""
     n = tables[1].size
     if tables[n] <= 0.0:
         raise ValueError(
@@ -266,8 +470,7 @@ def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
         parts = []
         for a, b, sel in groups:
             t = total[sel]
-            w, offsets = _segment_weights(tables[a], tables[b], t, ramp)
-            j = _draw_in_segments(w, offsets, rng)
+            j = _draw_group(tables, a, b, t, rng.random(t.size), ramp)
             parts += [j, t - j]
         if parts:
             total = np.concatenate(parts)

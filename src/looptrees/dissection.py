@@ -254,10 +254,8 @@ def _expand_blocks(totals: np.ndarray, mu: np.ndarray, h: np.ndarray,
         offsets = np.concatenate(([0], np.cumsum(r)))
         r_flat = np.repeat(r, r)
         z_flat = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], r)
-        # dividing by h(r) keeps every segment's mass near 1, so the shared
-        # cumulative sum resolves a small h(r) as well as a large one
-        w = mu[z_flat + 1] * h[r_flat - z_flat] / h[r_flat]
-        z = _draw_in_segments(w, offsets, rng) + 1
+        w = mu[z_flat + 1] * h[r_flat - z_flat]
+        z = _draw_in_segments(w, offsets, r, rng.random(active.size)) + 1
         who.append(active)
         rank.append(np.full(active.size, k, dtype=np.int64))
         ups.append(z)

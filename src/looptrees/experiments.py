@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
+from ._bridge import sample_conditioned_steps
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
@@ -133,8 +134,11 @@ def max_jump_experiment(alpha: float = 1.5, n: int = 10**5,
     b = law.scaling_constant(n)
 
     def one(i: int) -> float:
-        tree = sample_conditioned_tree(law, n, stream(seed, i))
-        return float(tree.children_counts.max() - 1) / b
+        rng = stream(seed, i)
+        # the cycle shift only rotates the steps, so it keeps their maximum
+        counts = (sample_conditioned_steps(law, n, rng) if n > 1
+                  else sample_conditioned_tree(law, n, rng).children_counts)
+        return float(counts.max() - 1) / b
 
     vals = np.array(_map_replicates(one, replicates))
     est = float(vals.mean())

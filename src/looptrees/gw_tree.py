@@ -414,7 +414,7 @@ def sample_conditioned_tree(law: OffspringLaw, n: int,
     if n == 1:
         return PlaneTree(np.zeros(1, dtype=np.int64))
     xi = sample_conditioned_steps(law, n, rng)
-    return decode_tree(LukasiewiczPath(_cycle_shift(xi - 1)))
+    return PlaneTree(_cycle_shift(xi - 1) + 1)
 
 
 def descent(path: LukasiewiczPath, j: int):

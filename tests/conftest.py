@@ -14,7 +14,6 @@ import weakref
 import numpy as np
 import pytest
 
-from looptrees._bridge import _draw_in_segments
 from looptrees.dissection import Dissection
 from looptrees.gw_tree import OffspringLaw, PlaneTree
 
@@ -108,10 +107,13 @@ def dual_by_chord_walk(d: Dissection):
 
 
 def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
-    """Oracle for _bridge._bridge, which it equals draw for draw, finding
-    each level's segment sizes and order again on every call: n i.i.d.
-    draws from the pmf window ``tables[1]`` (of length n >= 2) conditioned
-    to sum to n-1; ``tables`` comes from _sum_pmf_tables."""
+    """Oracle for _bridge._bridge, which it equals draw for draw: the exact
+    per-segment inverse CDF, finding each level's segment sizes and order
+    again on every call.  Each group of equal-size segments takes one
+    uniform u per segment, and each segment draws the first j whose own
+    cumulative weight reaches u times its total.  Gives n i.i.d. draws from
+    the pmf window ``tables[1]`` (of length n >= 2) conditioned to sum to
+    n-1; ``tables`` comes from _sum_pmf_tables."""
     n = tables[1].size
     if tables[n] <= 0.0:
         raise ValueError(
@@ -141,12 +143,16 @@ def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
             b = int(m - a)
             pa, pb = tables[a], tables[b]
             t = total[sel]
-            lengths = t + 1
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
-            j_flat = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
-            t_flat = np.repeat(t, lengths)
-            w = pa[j_flat] * pb[t_flat - j_flat]
-            j = _draw_in_segments(w, offsets, rng)
+            u = rng.random(sel.size)
+            j = np.empty(sel.size, dtype=np.int64)
+            for i, ti in enumerate(t.tolist()):
+                cdf = np.cumsum(pa[:ti + 1] * pb[ti::-1])
+                if not cdf[-1] > 0.0:
+                    raise RuntimeError(
+                        "a conditional draw has no admissible value; "
+                        "the convolution table lost too much precision"
+                    )
+                j[i] = np.searchsorted(cdf, u[i] * cdf[-1])
             next_size.append(np.full(sel.size, a, dtype=np.int64))
             next_total.append(j)
             next_start.append(start[sel])

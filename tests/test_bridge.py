@@ -1,5 +1,5 @@
-"""The bridge's shared table cache, its split plan, its FFT convolution and
-its attainability check."""
+"""The bridge's shared table cache, its split plan, its draws, its FFT
+convolution and its attainability check."""
 
 from __future__ import annotations
 
@@ -13,13 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 import looptrees
 from looptrees import _bridge
 from looptrees._bridge import (
+    _ALONE_TOTAL,
     _EXACT_CONV_LIMIT,
+    _ROW_SEGMENTS,
+    _ROW_TOTAL,
     _TableCache,
+    _draw_in_segments,
     _nbytes,
+    _row_sizes,
     _split_plan,
     _sum_pmf_tables,
     cache_info,
@@ -248,6 +254,101 @@ def test_split_plan_covers_every_position_once(n):
         assert all(sel.dtype == np.int32 for _, _, sel in groups)
 
 
+@pytest.mark.parametrize("n", [2, 2047, 2048, 4097, 30001, 10**5])
+def test_rows_cover_the_sizes_a_level_holds_often(n):
+    # rows exist exactly for the segment sizes some level of the plan holds
+    # at least _ROW_SEGMENTS times, so n < 2 * _ROW_SEGMENTS builds none
+    often = {a + b for _, _, groups in _split_plan(n)
+             for a, b, sel in groups if sel.size >= _ROW_SEGMENTS}
+    assert set(_row_sizes(n)) == often
+    assert bool(often) == (n >= 2 * _ROW_SEGMENTS)
+
+
+# ---- the draws ----
+
+def test_tiny_segment_behind_many_is_drawn_from_its_own_cdf():
+    # a segment of mass 1e-13 behind 1000 segments of mass 1: one cumulative
+    # sum of the raw weights resolves it to about 1e-13 and drew j = 0 with
+    # probability 0.567 in place of 0.3
+    w = np.concatenate([np.full(2000, 0.5), [0.3e-13, 0.7e-13]])
+    offsets = np.arange(0, w.size + 1, 2)
+    rng = np.random.default_rng(14)
+    draws = 4000
+    lengths = np.diff(offsets)
+    last = [_draw_in_segments(w.copy(), offsets, lengths, rng.random(lengths.size))[-1]
+            for _ in range(draws)]
+    zeros = last.count(0)
+    sigma = (0.3 * 0.7 / draws) ** 0.5
+    assert abs(zeros / draws - 0.3) < 4 * sigma
+
+
+@pytest.mark.parametrize("segments", [5, 3000])
+def test_shared_draws_invert_each_segment_within_budget(segments):
+    # segments of masses from 1e-250 to 1e250 and up to _ALONE_TOTAL weights,
+    # some zero, in one group: each draw is its own segment's inverse CDF at
+    # u to within 1e-9 of that segment's mass, and never a value of weight
+    # 0; a group of few segments takes units above 2**53
+    rng = np.random.default_rng(segments)
+    lengths = np.concatenate([rng.integers(1, 60, segments), [_ALONE_TOTAL - 1, 1, 2]])
+    rng.shuffle(lengths)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    w = rng.random(offsets[-1]) * (rng.random(offsets[-1]) < 0.7)
+    w[offsets[1:] - 1] += 1e-3  # every segment has some mass
+    w *= np.repeat(10.0 ** rng.uniform(-250, 250, lengths.size), lengths)
+    u = rng.random(lengths.size)
+    u[::4] = 0.0
+    u[1::4] = 1.0 - 2.0**-53
+    j = _draw_in_segments(w.copy(), offsets, lengths, u)
+    for i, (o, length) in enumerate(zip(offsets[:-1].tolist(), lengths.tolist())):
+        own = w[o:o + length]
+        cdf = np.cumsum(own / own.sum())
+        k = int(j[i])
+        assert 0 <= k < length and own[k] > 0.0
+        assert cdf[k] >= u[i] - 1e-9
+        assert k == 0 or cdf[k - 1] <= u[i] + 1e-9
+
+
+def test_largest_uniform_stays_in_a_lone_segment():
+    # one segment takes about 2**61 units, where floats are 2**8 apart; u
+    # times that count still rounds to less than it
+    rng = np.random.default_rng(5)
+    for length in rng.integers(600, _ALONE_TOTAL, 40).tolist():
+        w = rng.random(length)
+        j = _draw_in_segments(w, np.array([0, length]), np.array([length]),
+                              np.array([1.0 - 2.0**-53]))
+        assert j.tolist() == [length - 1]
+
+
+def test_extreme_uniforms_take_the_first_and_last_positive_weight():
+    # support {0, 3}: u = 0 and the largest u below 1 must take a segment's
+    # first and last values of positive weight, past zero weights at either
+    # end, in the rows and alone
+    law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
+    tables = _sum_pmf_tables(law.pmf(np.arange(3 * _ROW_SEGMENTS)))
+    # segments of size 3 split into 2 + 1: S_2 is in {0, 3, 6}, S_1 in {0, 3}
+    t = np.array([3, 3, 6, 6, 9, 9])
+    u = np.tile([0.0, 1.0 - 2.0**-53], 3)
+    j = _bridge._draw_rows(tables[("rows", 3)], tables[("guide", 3)], t, u)
+    assert j.tolist() == [0, 3, 3, 6, 6, 6]
+    # a last weight of 1e-4 of the mass puts a step of row 1 in the last
+    # cell of the guide, so the largest u is searched, and 1 + u rounds to 2
+    pa, pb = np.ones(_ROW_TOTAL + 1), np.ones(_ROW_TOTAL + 1)
+    pa[1] = 1e-4
+    rows, guide = _bridge._cdf_rows(pa, pb)
+    u = np.array([0.0, 1.0 - 2.0**-53])
+    j = _bridge._draw_rows(rows, guide, np.array([1, 1]), u)
+    assert j.tolist() == [0, 1]
+    # alone: pa = S_4098 and pb = S_1 leave j = t - 3 and j = t only
+    t = _ALONE_TOTAL + 2
+    k = np.arange(t // 3 + 1)
+    pa = np.zeros(t + 1)
+    pa[3 * k] = binom.pmf(k, t, 1 / 3)
+    pb = law.pmf(np.arange(t + 1))
+    ramp = np.arange(2 * (t + 1))
+    assert [_bridge._draw_alone(pa, pb, t, ui, ramp)
+            for ui in (0.0, 1.0 - 2.0**-53)] == [t - 3, t]
+
+
 # ---- the convolution tables ----
 
 @pytest.mark.parametrize("variant", ["generic", "no-unary"])
@@ -259,13 +360,33 @@ def test_fft_convolution_matches_fftconvolve(alpha, variant):
     # 2 * 5063 - 1 = 3**4 * 5**3 is itself a fast length
     for n in (_EXACT_CONV_LIMIT + 1, 5063, 30001):
         tables = _sum_pmf_tables(law.pmf(np.arange(n)))
-        for m, table in tables.items():
-            if m in (1, n):
-                continue
+        for m in _bridge._half_sizes(n)[1:-1]:
+            table = tables[m]
             a = (m + 1) // 2
             want = np.clip(fftconvolve(tables[a], tables[m - a])[:n], 0.0, None)
             assert np.array_equal(table, want), (n, m)
             assert table.base is None  # owns its memory; pins no larger buffer
+
+
+def test_fft_tables_transform_each_table_once(monkeypatch):
+    # each table is transformed once, however many sizes take it as a half,
+    # and each table above the limit comes from one inverse transform
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(_bridge, "rfft", counting("rfft", _bridge.rfft))
+    monkeypatch.setattr(_bridge, "irfft", counting("irfft", _bridge.irfft))
+    n = 30001
+    _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)))
+    sizes = _bridge._half_sizes(n)[1:-1]
+    halves = {h for m in sizes for h in ((m + 1) // 2, m // 2)}
+    assert counts == {"rfft": len(halves), "irfft": len(sizes)}
+    assert len(halves) < sum(2 - (m % 2 == 0) for m in sizes)  # the old count
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1000, _EXACT_CONV_LIMIT])
@@ -279,7 +400,8 @@ def test_total_matches_full_table(n):
         a = (n + 1) // 2
         full = np.convolve(tables[a], tables[n - a])[n - 1]
         assert tables[n] == pytest.approx(full, rel=1e-12, abs=0.0)
-        assert set(tables) == set(_bridge._half_sizes(n))
+        rows = {(key, m) for m in _row_sizes(n) for key in ("rows", "guide")}
+        assert set(tables) == set(_bridge._half_sizes(n)) | rows
 
 
 def test_import_leaves_scipy_signal_out():

@@ -127,6 +127,16 @@ def test_max_jump_experiment_small():
     assert rep["pass"] == (rep["rel_error"] <= 0.5)
 
 
+@pytest.mark.parametrize("n", [2, 3000])
+def test_max_jump_values_are_the_trees_largest_counts(n):
+    # the steps' maximum is the tree's: the cycle shift only rotates them
+    law = stable_offspring(1.05)
+    rep = max_jump_experiment(alpha=1.05, n=n, replicates=6, seed=7)
+    b = law.scaling_constant(n)
+    trees = [sample_conditioned_tree(law, n, stream(7, i)) for i in range(6)]
+    assert rep["values"] == [float(t.children_counts.max() - 1) / b for t in trees]
+
+
 def test_default_window_orders():
     lo, hi = default_window(1.5, 10**6)
     assert 0 < lo < hi
