@@ -6,16 +6,17 @@ of a sum of m offspring.  Those pmfs are computed by convolution on the window
 [0, n-1], which is exact there because offspring counts are nonnegative and
 every conditional total stays <= n-1.  Only the ~2*log2(n) distinct half
 sizes ever appear, so the tables of one (law, n) are small and each sample
-costs O(n log n).  They are built once and kept in one cache shared by all
-laws: laws with equal values share an entry (see OffspringLaw._table_key),
-and the cache holds at most _TABLE_CACHE_BYTES, least recently used out
-first.
+costs O(n log n).
 
 The split itself (each level's segment sizes, their grouping by size and
-their order) depends on n alone.  It is built once per n as a split plan,
-kept in the same cache under a key of n alone and so shared by every law and
-by the block tables of sample_boltzmann; a sample then only computes the
-segment totals and draws.
+their order) depends on n alone, and is built as a split plan.  One cache
+entry per (source key, n) holds everything a draw of size n needs: the
+tables and the plan.  _conditioned is the one way in, for the offspring
+laws of sample_conditioned_steps (laws with equal values share an entry, see
+OffspringLaw._table_key) and for the block pmfs of sample_boltzmann.
+Entries of one size share one plan object, and the cache holds at most
+_TABLE_CACHE_BYTES, least recently used out first.  A warm sample only
+computes the segment totals and draws.
 
 Each group of equal-size segments takes one uniform u per segment, in
 order, before any of its draws, and each segment inverts its own conditional
@@ -50,6 +51,7 @@ lands on a value of zero weight.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -60,8 +62,7 @@ __all__ = ["sample_conditioned_steps"]
 # below this the quadratic convolution is cheap and exact to the last bit,
 # which the small-size distribution tests rely on
 _EXACT_CONV_LIMIT = 4096
-# bytes of bridge tables and split plans kept across calls; the newest entry
-# stays even when it alone is larger, so any n still samples
+# bytes of bridge tables and split plans kept across calls (see _TableCache)
 _TABLE_CACHE_BYTES = 128 * 2**20
 # a group of at least _ROW_SEGMENTS segments with totals <= _ROW_TOTAL draws
 # those from CDF rows; the tables hold rows for every segment size that some
@@ -91,54 +92,53 @@ _NO_VALUE = ("a conditional draw has no admissible value; "
 
 
 class _TableCache:
-    """Bridge tables by (law key, n), and split plans by (None, n), dropping
-    the least recently used entry while they hold more than ``limit`` bytes.
-    A miss builds under the lock, so threads that miss together build
-    once."""
+    """What a conditioned draw of size n needs, by (source key, n): the
+    tables built from the source's window and the split plan of n.  Entries
+    of one size share one plan object, and each counts the plan's bytes as
+    its own, so a shared plan is counted once per entry that holds it and
+    the cache errs toward evicting early.  While the entries hold more than
+    ``limit`` bytes the least recently used goes, but the newest stays even
+    when it alone is larger, so any n still samples.  A miss builds under
+    the lock, so threads that miss together build once."""
 
     def __init__(self, limit: int):
         self.limit = limit
-        self._entries: OrderedDict = OrderedDict()  # key -> (tables, bytes)
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
+        # n -> the plan that the entries of size n share; it leaves with the
+        # last entry (or draw in progress) that holds it
+        self._plans = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
         self.hits = self.misses = self.bytes = 0
-        self._last_plan = (0, None)  # (n, plan) of the size asked last
 
     def get(self, key, build):
-        """The tables under ``key``, from ``build()`` on a miss."""
+        """The value under ``key``, from ``build()`` on a miss."""
         with self._lock:
-            return self._get(key, build)
-
-    def plan(self, n: int) -> list:
-        """The split plan of n (see _split_plan).  The plan of the size asked
-        last stays held here after tables that alone fill the cache push its
-        entry out, so that the two do not evict each other on every sample
-        of one size."""
-        with self._lock:
-            if self._last_plan[0] == n:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self.hits += 1
-            else:
-                self._last_plan = (n, self._get((None, n), lambda: _split_plan(n)))
-            return self._last_plan[1]
+                self._entries.move_to_end(key)
+                return entry[0]
+            self.misses += 1
+            value = build()
+            size = _nbytes(value)
+            self._entries[key] = (value, size)
+            self.bytes += size
+            while self.bytes > self.limit and len(self._entries) > 1:
+                self.bytes -= self._entries.popitem(last=False)[1][1]
+            return value
 
-    def _get(self, key, build):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry[0]
-        self.misses += 1
-        tables = build()
-        size = _nbytes(tables)
-        self._entries[key] = (tables, size)
-        self.bytes += size
-        while self.bytes > self.limit and len(self._entries) > 1:
-            self.bytes -= self._entries.popitem(last=False)[1][1]
-        return tables
+    def _shared_plan(self, n: int) -> list:
+        """The split plan that live entries of size n hold, else a new one; a
+        build calls it, under the lock."""
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = _split_plan(n)
+        return plan
 
-    def by_length(self, law_key) -> dict:
-        """{n: tables} of the entries cached for one law key."""
+    def by_length(self, key) -> dict:
+        """{n: tables} of the entries cached for one source key."""
         with self._lock:
-            return {k[1]: e[0] for k, e in self._entries.items() if k[0] == law_key}
+            return {k[1]: e[0][0] for k, e in self._entries.items() if k[0] == key}
 
     def info(self) -> dict:
         with self._lock:
@@ -148,8 +148,8 @@ class _TableCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._plans.clear()
             self.hits = self.misses = self.bytes = 0
-            self._last_plan = (0, None)
 
 
 _TABLES = _TableCache(_TABLE_CACHE_BYTES)
@@ -283,12 +283,17 @@ def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarra
     """One vector of n i.i.d. offspring counts conditioned to sum to n-1."""
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
-    # the plan first: tables that alone fill the cache then push out its
-    # entry, which the cache still holds as the plan of the size asked last
-    plan = _TABLES.plan(n)
-    tables = _TABLES.get((law._table_key, n),
-                         lambda: _sum_pmf_tables(law.pmf(np.arange(n))))
-    return _bridge(tables, plan, rng)
+    return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng)[0]
+
+
+def _conditioned(key, n: int, window, rng: np.random.Generator):
+    """n i.i.d. draws from the pmf ``window()`` on [0, n-1] conditioned to
+    sum to n-1, and the tables they came from (``tables[1]`` is the
+    window).  The entry of (key, n) is built from ``window()`` on a miss, so
+    equal keys must give equal windows."""
+    tables, plan = _TABLES.get(
+        (key, n), lambda: (_sum_pmf_tables(window()), _TABLES._shared_plan(n)))
+    return _bridge(tables, plan, rng), tables
 
 
 def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
@@ -448,7 +453,12 @@ def _split_plan(n: int) -> list:
             break
         size = np.concatenate(next_size)
         start = np.concatenate(next_start)
-    return levels
+    return _Plan(levels)
+
+
+class _Plan(list):
+    """The levels of a split plan, in a list that a weak reference can
+    name, so the cache finds the plan of a size without a scan."""
 
 
 def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:

@@ -15,12 +15,10 @@ import json
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
-from ._bridge import _TABLES, _bridge, _draw_in_segments, _sum_pmf_tables
+from ._bridge import _conditioned, _draw_in_segments
 from .gw_tree import LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift
-from .looptree import loop_distances
+from .looptree import LoopGraph, loop_distances
 
 __all__ = [
     "Dissection",
@@ -93,14 +91,8 @@ class Dissection:
         """All-pairs BFS distances of the polygon-plus-chords graph."""
         n = self.n_sides
         k = np.arange(n)
-        u = np.concatenate([k, self.chords[:, 0]])
-        v = np.concatenate([(k + 1) % n, self.chords[:, 1]])
-        data = np.ones(2 * u.size, dtype=np.int8)
-        adj = csr_matrix(
-            (data, (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(n, n),
-        )
-        return dijkstra(adj, unweighted=True).astype(np.int64)
+        edges = np.concatenate([np.column_stack([k, (k + 1) % n]), self.chords])
+        return LoopGraph(n, edges, k).distances()
 
     def to_svg(self, size: int = 400, header_lines=()) -> str:
         """Unit-disk drawing: polygon outline plus chords."""
@@ -289,12 +281,12 @@ def sample_boltzmann(law: OffspringLaw, n_leaves: int,
         raise ValueError(f"n_leaves must be >= 2, got {n_leaves}")
     n = int(n_leaves)
     mu = law.pmf(np.arange(n + 1))
-    h = _block_pmf(mu)
-    # block tables are built per call and stay out of the bridge's cache,
-    # which holds size-conditioned tables of the offspring law itself and
-    # the split plan of n that every law shares
-    totals = _bridge(_sum_pmf_tables(h), _TABLES.plan(n), rng)
-    counts = _expand_blocks(totals, mu, h, rng)
+    # the block tables share the bridge's cache with the law's own, under a
+    # key of their own, so laws of equal values build them once per n;
+    # tables[1] is the block pmf
+    totals, tables = _conditioned(("blocks", law._table_key), n,
+                                  lambda: _block_pmf(mu), rng)
+    counts = _expand_blocks(totals, mu, tables[1], rng)
     # the walk's first minimum follows a leaf, so the shift moves whole blocks
     return from_dual(PlaneTree(_cycle_shift(counts - 1) + 1))
 

@@ -68,18 +68,13 @@ def _pool_size() -> int:
 
 
 def _map_replicates(fn, count: int):
-    """Ordered results of fn(replicate_index), possibly in parallel.
-
-    With several workers, replicate 0 runs first in the calling thread, so
-    that a cold bridge-table cache (shared by all laws, bounded in bytes) is
-    filled by it alone and then read by the others.
-    """
+    """Ordered results of fn(replicate_index), possibly in parallel.  Workers
+    that miss the bridge-table cache together build the tables once."""
     workers = _pool_size()
     if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
-    first = fn(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [first, *pool.map(fn, range(1, count))]
+        return list(pool.map(fn, range(count)))
 
 
 def _stderr(vals: np.ndarray):
@@ -130,15 +125,15 @@ def max_jump_experiment(alpha: float = 1.5, n: int = 10**5,
                         tolerance: float = 0.05) -> dict:
     """Mean largest rescaled jump against the analytic target."""
     _check_counts(replicates=replicates)
+    if n < 2:
+        raise ConfigError("n", f"a tree of one vertex has no jump; n must be "
+                          f"at least 2, got {n}")
     law = stable_offspring(alpha)
     b = law.scaling_constant(n)
 
     def one(i: int) -> float:
-        rng = stream(seed, i)
         # the cycle shift only rotates the steps, so it keeps their maximum
-        counts = (sample_conditioned_steps(law, n, rng) if n > 1
-                  else sample_conditioned_tree(law, n, rng).children_counts)
-        return float(counts.max() - 1) / b
+        return float(sample_conditioned_steps(law, n, stream(seed, i)).max() - 1) / b
 
     vals = np.array(_map_replicates(one, replicates))
     est = float(vals.mean())

@@ -77,8 +77,8 @@ class LoopGraph:
                     (data, (np.concatenate([u, w]), np.concatenate([w, u]))),
                     shape=(v, v),
                 )
-                mat.data[:] = 1  # collapse parallel edges
-                mat.sum_duplicates()
+                # built from triplets, the matrix has its duplicates summed;
+                # parallel edges collapse to 1
                 mat.data[:] = 1
             else:
                 mat = csr_matrix((v, v), dtype=np.int8)

@@ -54,36 +54,40 @@ def _refuse():
 
 # ---- the shared cache ----
 
+def _entry_bytes(tables: dict, plan: list) -> int:
+    return sum(t.nbytes for t in tables.values()) + _nbytes(plan)
+
+
 def test_equal_laws_share_one_entry(fresh_cache):
     a, b = stable_offspring(1.5), stable_offspring(1.5)
     assert a is not b and a._table_key == b._table_key
     xa = sample_conditioned_steps(a, 300, np.random.default_rng(1))
     xb = sample_conditioned_steps(b, 300, np.random.default_rng(1))
-    # each sample looks up the split plan of n and then its law's tables
+    # one lookup per sample: the entry holds the tables and the plan
     info = cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (2, 2, 2)
+    assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
     assert np.array_equal(xa, xb)
     tables = a._bridge_tables
-    assert list(tables) == [300]  # the plan is no law's table
-    assert info["bytes"] == (sum(t.nbytes for t in tables[300].values())
-                             + _nbytes(_split_plan(300)))
+    assert list(tables) == [300]
+    assert info["bytes"] == _entry_bytes(tables[300], _split_plan(300))
     # a longer stored table is another key, with the same values
     c = stable_offspring(1.5, cutoff=64)
     assert c._table_key != a._table_key
     xc = sample_conditioned_steps(c, 300, np.random.default_rng(1))
     assert np.array_equal(xa, xc)
-    assert cache_info()["entries"] == 3
+    assert cache_info()["entries"] == 2
     assert stable_offspring(1.5, "no-unary")._table_key != a._table_key
     # stored tables of one length but other values are other keys
     for probs in ([0.5, 0.0, 0.5], [0.25, 0.5, 0.25]):
         x = sample_conditioned_steps(OffspringLaw.from_probabilities(probs), 301,
                                      np.random.default_rng(1))
         assert set(x.tolist()) <= {k for k, p in enumerate(probs) if p > 0}
-    # two tables and one plan of n = 301
-    assert cache_info()["entries"] == 6
+    assert cache_info()["entries"] == 4
 
 
 def test_second_law_at_one_size_builds_no_second_plan(fresh_cache, monkeypatch):
+    # _split_plan runs once per size: two laws at one n, and the block
+    # tables of sample_boltzmann at that n, hold one plan object
     plans = []
 
     def counting(n):
@@ -95,28 +99,81 @@ def test_second_law_at_one_size_builds_no_second_plan(fresh_cache, monkeypatch):
     first, second = stable_offspring(1.5), stable_offspring(1.2, "no-unary")
     for law, size in ((first, n), (first, m), (second, n)):
         sample_conditioned_steps(law, size, np.random.default_rng(0))
-    sample_boltzmann(second, n, np.random.default_rng(0))  # block tables
+    sample_boltzmann(second, n, np.random.default_rng(0))
     assert plans == [n, m]
-    # lookups: plan n, tables, plan m, tables, plan n (cached), tables, and
-    # plan n again for the blocks
     info = cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (2, 5, 5)
-    tables = sum(t.nbytes for law in (first, second)
-                 for per_n in law._bridge_tables.values() for t in per_n.values())
-    plan_bytes = [_nbytes(_split_plan(k)) for k in (n, m)]
-    assert min(plan_bytes) > 0 and info["bytes"] == tables + sum(plan_bytes)
+    assert (info["hits"], info["misses"], info["entries"]) == (0, 4, 4)
+    entries = _bridge._TABLES._entries
+    keys = [(first._table_key, n), (second._table_key, n),
+            (("blocks", second._table_key), n)]
+    plan = entries[keys[0]][0][1]
+    assert all(entries[key][0][1] is plan for key in keys)
+    assert entries[(first._table_key, m)][0][1] is not plan
+    # block entries are no law's tables
+    assert sorted(first._bridge_tables) == [m, n]
+    assert list(second._bridge_tables) == [n]
+
+
+def test_shared_plan_counts_in_every_entry_that_holds_it(fresh_cache):
+    # each entry counts its plan's bytes as its own, so a plan shared by k
+    # entries counts k times and the cache errs toward evicting early
+    n = 2000
+    laws = [stable_offspring(1.5), stable_offspring(1.2)]
+    for law in laws:
+        sample_conditioned_steps(law, n, np.random.default_rng(0))
+    plan = _bridge._TABLES._entries[(laws[0]._table_key, n)][0][1]
+    assert cache_info()["bytes"] == sum(_entry_bytes(law._bridge_tables[n], plan)
+                                        for law in laws)
 
 
 def test_tables_that_fill_the_cache_keep_their_plan(fresh_cache, monkeypatch):
-    # the tables alone exceed the bound, so their entry pushes out the
-    # plan's; later samples of that size must build neither again
+    # an entry larger than the bound is built once and stays the only entry,
+    # plan included, however often its size is sampled
     monkeypatch.setattr(_bridge._TABLES, "limit", 2**20)
+    builds = []
+
+    def counting(window):
+        builds.append(window.size)
+        return _sum_pmf_tables(window)
+
+    monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
+    sample_conditioned_steps(stable_offspring(1.2), 300, np.random.default_rng(0))
     law, n = stable_offspring(1.5), 20000
     for seed in range(3):
         sample_conditioned_steps(law, n, np.random.default_rng(seed))
+    assert builds == [300, n]
     info = cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (4, 2, 1)
+    assert (info["hits"], info["misses"], info["entries"]) == (2, 2, 1)
     assert info["bytes"] > 2**20 and list(law._bridge_tables) == [n]
+    assert info["bytes"] == _entry_bytes(law._bridge_tables[n], _split_plan(n))
+
+
+def test_boltzmann_builds_block_tables_once_per_law_values_and_size(fresh_cache,
+                                                                    monkeypatch):
+    from looptrees import dissection
+
+    blocks, builds = [], []
+
+    def counting_blocks(mu):
+        blocks.append(mu.size - 1)
+        return _block_pmf(mu)
+
+    def counting_tables(window):
+        builds.append(window.size)
+        return _sum_pmf_tables(window)
+
+    monkeypatch.setattr(dissection, "_block_pmf", counting_blocks)
+    monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting_tables)
+    for seed in range(3):
+        for n in (3, 40):
+            law = stable_offspring(1.5, "no-unary")  # a new object each time
+            want = sample_boltzmann(law, n, np.random.default_rng(seed))
+            assert want.n_sides == n + 1
+    sample_boltzmann(stable_offspring(1.2, "no-unary"), 40, np.random.default_rng(0))
+    assert blocks == builds == [3, 40, 40]
+    # the cached tables draw what freshly built ones drew
+    _bridge._TABLES.clear()
+    assert sample_boltzmann(law, 40, np.random.default_rng(2)) == want
 
 
 def test_eviction_drops_least_recently_used_bytes_first():
@@ -171,10 +228,9 @@ def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert builds == [n]
-    # one miss each for the tables and the plan, and a hit on both for
-    # every other thread
+    # one miss, and a hit for every other thread
     info = cache_info()
-    assert (info["hits"], info["misses"]) == (2 * (workers - 1), 2)
+    assert (info["hits"], info["misses"]) == (workers - 1, 1)
     for i, x in enumerate(out):
         assert np.array_equal(x, sample_conditioned_steps(law, n, np.random.default_rng(i)))
 
@@ -229,7 +285,7 @@ def test_bridge_equals_level_oracle(law, n, blocks, seed):
     else:
         window = law.pmf(np.arange(n))
     tables = _sum_pmf_tables(window)
-    plan = _bridge._TABLES.plan(n)
+    plan = _split_plan(n)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _outcome(lambda: _bridge._bridge(tables, plan, rng))
     want = _outcome(lambda: bridge_by_levels(tables, oracle_rng))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 
@@ -115,6 +116,43 @@ def test_determinism_same_seed_same_bytes(tmp_path):
     assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
 
 
+# fixed-seed invocations, their exit codes and the SHA-256 prefix of every
+# file each writes; all sizes are at most 4096, so every bridge table comes
+# from exact convolution.  A change that moves a random stream on purpose
+# updates these and says so.
+_GOLDEN = [
+    ("sample path --n 50 --seed 1 --format csv", 0,
+     {"path.csv": "a9539527a1d2"}),
+    ("sample tree --n 50 --seed 1 --format csv", 0,
+     {"tree.csv": "eb77f02889a7"}),
+    ("sample dissection --n 20 --seed 2", 0,
+     {"dissection.json": "876ad2e8ab64", "dissection.svg": "9e026d611127"}),
+    ("experiment max-jump --n 500 --replicates 8 --seed 1 --tolerance 0.0001", 1,
+     {"max_jump_data.csv": "38dc274c1477", "max_jump_report.json": "2dbab02f41c5"}),
+    ("experiment gh-sandwich --n 30 --replicates 6 --seed 3", 0,
+     {"gh_sandwich_data.csv": "1d02f5a68297",
+      "gh_sandwich_report.json": "5f92db481d24"}),
+    ("experiment interpolation-crt --alpha 1.95 --n 2000 --replicates 3 --seed 5 "
+     "--tolerance 0.1", 0,
+     {"interpolation_crt_data.csv": "f106a4e6f1eb",
+      "interpolation_crt_report.json": "4889f6c6b7ea"}),
+    ("experiment interpolation-circle --alpha 1.05 --n 2000 --replicates 3 --seed 2", 1,
+     {"interpolation_circle_data.csv": "cfb5a0e1d66d",
+      "interpolation_circle_report.json": "d782526b7d08"}),
+]
+
+
+def test_fixed_seed_outputs_keep_their_bytes(tmp_path):
+    for k, (argv, code, files) in enumerate(_GOLDEN):
+        out = tmp_path / str(k)
+        assert run(out, *argv.split()) == code, argv
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:12]
+               for f in out.iterdir()}
+        assert set(got) == set(files), argv
+        for name, prefix in files.items():
+            assert got[name] == prefix, f"{argv}: {name}"
+
+
 def test_experiment_laplace_small(tmp_path, capsys):
     rc = run(tmp_path, "experiment", "laplace-check", "--n", "20000",
              "--seed", "11")
@@ -200,6 +238,8 @@ def test_reports_are_strict_json(tmp_path):
     # an option placed before the kind or the experiment name
     ("sample", "--n", "40", "tree"),
     ("experiment", "--seed", "3", "dimension"),
+    # a tree of one vertex has no jump
+    ("experiment", "max-jump", "--n", "1"),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

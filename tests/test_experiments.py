@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from looptrees import _bridge
+from looptrees._bridge import _sum_pmf_tables
 from looptrees.experiments import (
     ConfigError,
     circle_gap_bound,
@@ -90,13 +92,31 @@ def test_stream_is_deterministic_and_split():
 
 
 def test_two_workers_give_the_single_worker_report(monkeypatch):
-    # replicate 0 runs first in the caller, the rest fan out
+    # every replicate fans out over the pool, replicate 0 included
     kw = dict(alpha=1.05, n=3000, replicates=5, gh_paths=3, seed=6)
     monkeypatch.setenv("LOOPTREE_THREADS", "1")
     one = interpolation_circle(**kw)
     monkeypatch.setenv("LOOPTREE_THREADS", "2")
     two = interpolation_circle(**kw)
     assert json.dumps(one) == json.dumps(two)
+
+
+def test_cold_two_worker_run_builds_its_tables_once(monkeypatch):
+    # workers that miss the cache together wait for one build
+    builds = []
+
+    def counting(window):
+        builds.append(window.size)
+        return _sum_pmf_tables(window)
+
+    monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
+    monkeypatch.setenv("LOOPTREE_THREADS", "2")
+    _bridge._TABLES.clear()
+    try:
+        interpolation_circle(alpha=1.05, n=3000, replicates=4, gh_paths=1, seed=6)
+    finally:
+        _bridge._TABLES.clear()
+    assert builds == [3000]
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -187,6 +207,15 @@ def test_interpolation_crt_rejects_tiny_n():
         t0 = time.perf_counter()
         with pytest.raises(ConfigError) as info:
             interpolation_crt(n=n, paths=2, draws=5)
+        assert info.value.param == "n"
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_max_jump_rejects_n_below_2():
+    for n in (0, 1):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            max_jump_experiment(n=n)
         assert info.value.param == "n"
         assert time.perf_counter() - t0 < 1.0
 
