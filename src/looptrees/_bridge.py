@@ -170,37 +170,30 @@ def cache_info() -> dict:
     return _TABLES.info()
 
 
+def _level_sizes(n: int):
+    """(size, count) of the segments of each level k of the split of n with
+    2**k <= n: n mod 2**k segments of size ceil(n / 2**k) and the rest of
+    size floor(n / 2**k).  Later levels hold only size 1, which the last of
+    these levels holds too."""
+    k = 1
+    while k <= n:
+        q, r = divmod(n, k)
+        if r:
+            yield q + 1, r
+        yield q, k - r
+        k *= 2
+
+
 def _half_sizes(n: int) -> list:
     """All distinct sizes appearing in the dyadic split tree of n, ascending."""
-    sizes = {n}
-    frontier = {n}
-    while frontier:
-        nxt = set()
-        for m in frontier:
-            if m >= 2:
-                a = (m + 1) // 2
-                for s in (a, m - a):
-                    if s not in sizes:
-                        sizes.add(s)
-                        nxt.add(s)
-        frontier = nxt
-    return sorted(sizes)
+    return sorted({m for m, _ in _level_sizes(n)})
 
 
 def _row_sizes(n: int) -> list:
     """Segment sizes m >= 2 that some level of the split of n holds at least
-    _ROW_SEGMENTS times.  While its sizes are at least 1, level k holds
-    n mod 2**k segments of size ceil(n / 2**k) and the rest of size
-    floor(n / 2**k)."""
-    sizes = set()
-    k = 1
-    while k <= n:
-        q, r = divmod(n, k)
-        for m, count in ((q + 1, r), (q, k - r)):
-            if m >= 2 and count >= _ROW_SEGMENTS:
-                sizes.add(m)
-        k *= 2
-    return sorted(sizes)
+    _ROW_SEGMENTS times."""
+    return sorted({m for m, count in _level_sizes(n)
+                   if m >= 2 and count >= _ROW_SEGMENTS})
 
 
 def _sum_pmf_tables(window: np.ndarray) -> dict:

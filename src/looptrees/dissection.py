@@ -143,8 +143,9 @@ def _check_crossings(chords: np.ndarray) -> None:
 
 
 def _dual_with_regions(d: Dissection):
-    """Children counts of the dual tree, and each vertex's region as a row
-    (lo, hi) of walk coordinates, in depth-first order.
+    """Children counts of the dual tree, each vertex's region as a row
+    (lo, hi) of walk coordinates, and each vertex's depth, in depth-first
+    order.
 
     The regions are the root side (1, n), the other sides and the chords.
     They nest, so depth-first order sorts them by lo, the longer first.
@@ -164,15 +165,14 @@ def _dual_with_regions(d: Dissection):
     keys = np.sort(depth * m + t)
     parent = keys[np.searchsorted(keys, (depth[1:] - 1) * m + t[1:]) - 1] % m
     counts = np.bincount(parent, minlength=m)
-    return counts, np.column_stack([lo, hi])
+    return counts, np.column_stack([lo, hi]), depth
 
 
 def dual_tree(d: Dissection) -> PlaneTree:
     """Plane tree of the faces: the face at the root side becomes the root,
     a face of degree k an internal vertex with k-1 children, and each
     polygon side other than the root side a leaf."""
-    counts, _ = _dual_with_regions(d)
-    return PlaneTree(counts)
+    return PlaneTree(_dual_with_regions(d)[0])
 
 
 def from_dual(tree: PlaneTree) -> Dissection:
@@ -307,7 +307,7 @@ def _dual_gap(d: Dissection):
     """gh_gap_check's two results, then the dual tree's height, its walk and
     its corner matrix: the build_loop distances between the corners of tree
     vertices 1..n-1, taken from the walk."""
-    counts, regions = _dual_with_regions(d)
+    counts, regions, depth = _dual_with_regions(d)
     path = LukasiewiczPath(counts - 1)
     corner = np.arange(1, path.n)
     loop_dist = loop_distances(path, corner[:, None], corner[None, :],
@@ -320,6 +320,6 @@ def _dual_gap(d: Dissection):
     dis = np.abs(
         poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]
     ).max()
-    height = int(path._ensure_index().depth.max())
+    height = int(depth.max())
     observed = dis / 2.0
     return observed <= height + 2, float(observed), height, path, loop_dist

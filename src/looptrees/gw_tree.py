@@ -1,10 +1,10 @@
 """Critical heavy-tailed offspring laws and size-conditioned plane trees.
 
-A plane tree is stored as its DFS sequence of children counts; the equivalent
-Lukasiewicz walk (steps = count - 1) is the object every distance formula
-works on.  Conditioned sampling draws the step vector directly, by dyadic
-splitting of convolution tables of the offspring law (see _bridge), and then
-applies the cycle shift.
+A plane tree is stored as its DFS sequence of children counts and keeps the
+equivalent Lukasiewicz walk (steps = count - 1), the object every distance
+formula works on.  Conditioned sampling draws the step vector directly, by
+dyadic splitting of convolution tables of the offspring law (see _bridge),
+and then applies the cycle shift.
 """
 
 from __future__ import annotations
@@ -51,13 +51,17 @@ class OffspringLaw:
     alpha : float or None
         Tail exponent when the law has a polynomial tail.
     tail_constant : float or None
-        c with P(offspring >= k) ~ c * k**(-alpha).
+        c with P(offspring >= k) ~ c * k**(-alpha): theta / alpha for the
+        polynomial-tail family, None for a law without an analytic tail.
     forbids_unary : bool
         True when mu_1 = 0 (every internal vertex has >= 2 children).
+
+    ``forbids_unary`` and ``tail_constant`` are worked out from the values,
+    so no law can claim one that its atoms contradict.
     """
 
-    def __init__(self, probabilities, *, alpha=None, tail_constant=None,
-                 forbids_unary=False, _theta=None, _support_start=1):
+    def __init__(self, probabilities, *, alpha=None, _theta=None,
+                 _support_start=1):
         pmf = np.asarray(probabilities, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("probabilities must be a nonempty 1-d sequence")
@@ -65,8 +69,6 @@ class OffspringLaw:
             raise ValueError("probabilities must be nonnegative")
         self._pmf = pmf
         self.alpha = None if alpha is None else float(alpha)
-        self.tail_constant = None if tail_constant is None else float(tail_constant)
-        self.forbids_unary = bool(forbids_unary)
         # theta, support_start describe the analytic continuation: beyond the
         # table mu_k = 0 below support_start and theta * k**(-1-alpha) from
         # there on; inside the table, entries from support_start on must
@@ -79,8 +81,8 @@ class OffspringLaw:
         mean = self.mean()
         if abs(mean - 1.0) > _MEAN_TOL:
             raise ValueError(f"offspring mean is {mean!r}; the law must be critical")
-        if self.forbids_unary and pmf.size > 1 and pmf[1] != 0.0:
-            raise ValueError("forbids_unary set but mu_1 is nonzero")
+        self.forbids_unary = self.pmf(1) == 0.0
+        self.tail_constant = None if _theta is None else _theta / self.alpha
         # the values that fix every atom: laws with equal keys have equal
         # pmfs, so they share bridge tables (see _bridge)
         self._table_key = (self.alpha, self._theta, self._support_start,
@@ -103,10 +105,9 @@ class OffspringLaw:
     # -- public surface -------------------------------------------------------
 
     @classmethod
-    def from_probabilities(cls, probabilities, *, alpha=None, tail_constant=None):
-        pmf = np.asarray(probabilities, dtype=float)
-        forbids = pmf.size > 1 and pmf[1] == 0.0
-        return cls(pmf, alpha=alpha, tail_constant=tail_constant, forbids_unary=forbids)
+    def from_probabilities(cls, probabilities):
+        """The finite law with these atoms mu_0, mu_1, ..."""
+        return cls(probabilities)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -189,35 +190,22 @@ def stable_offspring(alpha: float, variant: str = "generic",
     pmf = np.zeros(cutoff)
     pmf[0] = mu0
     pmf[start:] = theta * k[start:] ** (-1.0 - alpha)
-    return OffspringLaw(
-        pmf,
-        alpha=alpha,
-        tail_constant=theta / alpha,
-        forbids_unary=(variant == "no-unary"),
-        _theta=theta,
-        _support_start=start,
-    )
+    return OffspringLaw(pmf, alpha=alpha, _theta=theta, _support_start=start)
 
 
 class PlaneTree:
-    """Rooted plane tree given by DFS-ordered children counts."""
+    """Rooted plane tree given by DFS-ordered children counts.
 
-    __slots__ = ("children_counts",)
+    The tree holds its Lukasiewicz walk (see encode_tree), whose checks are
+    the tree's own, and through it the one genealogy every consumer of the
+    tree shares.
+    """
+
+    __slots__ = ("children_counts", "_path")
 
     def __init__(self, children_counts):
         arr = np.asarray(children_counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("children_counts must be a nonempty 1-d sequence")
-        if np.any(arr < 0):
-            raise ValueError("children counts must be nonnegative")
-        partial = np.cumsum(arr - 1)
-        if partial[-1] != -1:
-            raise ValueError(
-                f"children counts sum to {int(arr.sum())}, expected size-1={arr.size - 1}"
-            )
-        if arr.size > 1 and partial[:-1].min() < 0:
-            k = int(np.argmax(partial[:-1] < 0))
-            raise ValueError(f"children counts close the tree early (at index {k})")
+        self._path = LukasiewiczPath(arr - 1)
         self.children_counts = arr
 
     @property
@@ -258,7 +246,7 @@ class LukasiewiczPath:
         arr = np.asarray(steps, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("steps must be a nonempty 1-d sequence")
-        if np.any(arr < -1):
+        if arr.min() < -1:
             raise ValueError("steps must be >= -1")
         values = np.empty(arr.size + 1, dtype=np.int64)
         values[0] = 0
@@ -378,8 +366,9 @@ class _TreeIndex:
 
 
 def encode_tree(tree: PlaneTree) -> LukasiewiczPath:
-    """Lukasiewicz walk of a tree: steps are children counts minus one."""
-    return LukasiewiczPath(tree.children_counts - 1)
+    """Lukasiewicz walk of a tree: steps are children counts minus one.  This
+    is the tree's own walk, so calls on one tree share its genealogy."""
+    return tree._path
 
 
 def decode_tree(path: LukasiewiczPath) -> PlaneTree:

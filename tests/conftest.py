@@ -1,7 +1,7 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
 the i.i.d. offspring sampler that the rejection oracles draw from, the
 chord-walk oracle for the dual tree of a dissection, the level-by-level
-oracle for the bridge, the Gromov-Hausdorff bound of an explicit
+oracle for the bridge and the search oracle for its split sizes, the Gromov-Hausdorff bound of an explicit
 correspondence between distance matrices, and the float stack genealogy and
 float climb of a jump path."""
 
@@ -164,6 +164,25 @@ def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
         start = np.concatenate(next_start)
 
     return out
+
+
+def half_sizes_by_search(n: int) -> list:
+    """Oracle for _bridge._half_sizes: every distinct segment size of the
+    dyadic split of n, found by a breadth-first search over the sizes that
+    halving reaches, ascending."""
+    sizes = {n}
+    frontier = {n}
+    while frontier:
+        nxt = set()
+        for m in frontier:
+            if m >= 2:
+                a = (m + 1) // 2
+                for s in (a, m - a):
+                    if s not in sizes:
+                        sizes.add(s)
+                        nxt.add(s)
+        frontier = nxt
+    return sorted(sizes)
 
 
 def gh_upper_bound(corr, dX, dY) -> float:

@@ -24,6 +24,8 @@ from looptrees._bridge import (
     _ROW_TOTAL,
     _TableCache,
     _draw_in_segments,
+    _half_sizes,
+    _level_sizes,
     _nbytes,
     _row_sizes,
     _split_plan,
@@ -34,7 +36,7 @@ from looptrees._bridge import (
 from looptrees.dissection import _block_pmf, sample_boltzmann
 from looptrees.gw_tree import OffspringLaw, stable_offspring
 
-from conftest import bridge_by_levels
+from conftest import bridge_by_levels, half_sizes_by_search
 
 
 @pytest.fixture
@@ -308,6 +310,18 @@ def test_split_plan_covers_every_position_once(n):
         sizes = [a + b for a, b, _ in groups]
         assert sizes == sorted(set(sizes))  # ascending, one group per size
         assert all(sel.dtype == np.int32 for _, _, sel in groups)
+
+
+def test_level_sizes_match_the_search_and_the_plan():
+    # the closed form gives every size the halving reaches, and the sizes
+    # and segment counts of every group the split plan makes
+    for n in [*range(1, 5000), 10**5, 10**5 + 7, 2**17, 999_983, 10**6]:
+        assert _half_sizes(n) == half_sizes_by_search(n), n
+    for n in [*range(1, 3001), 10**5]:
+        held = [(a + b, sel.size) for _, _, groups in _split_plan(n)
+                for a, b, sel in groups]
+        assert sorted(held) == sorted(
+            (m, count) for m, count in _level_sizes(n) if m >= 2), n
 
 
 @pytest.mark.parametrize("n", [2, 2047, 2048, 4097, 30001, 10**5])

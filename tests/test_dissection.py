@@ -131,10 +131,11 @@ dissections = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(d=dissections)
 def test_dual_with_regions_matches_chord_walk_oracle(d):
-    counts, regions = _dual_with_regions(d)
+    counts, regions, depth = _dual_with_regions(d)
     want_counts, want_regions = dual_by_chord_walk(d)
     assert np.array_equal(counts, want_counts)
     assert regions.tolist() == [list(r) for r in want_regions]
+    assert depth.max() == tree_stats(dual_tree(d)).height
 
 
 def test_from_dual_rejects_bad_trees():
@@ -194,6 +195,17 @@ def test_boltzmann_on_square_is_uniform(rng_factory):
     assert len(counts) == 2
     stat, p = chisquare(sorted(counts.values()))
     assert p > 0.001
+
+
+def test_boltzmann_takes_a_law_made_from_its_values(rng_factory):
+    # mu_1 = 0 alone makes a law unary-free, whichever way it was built
+    law = OffspringLaw([0.5, 0.0, 0.5])
+    assert law.forbids_unary and law.tail_constant is None
+    same = OffspringLaw.from_probabilities([0.5, 0.0, 0.5])
+    for n_leaves in (3, 5, 12):
+        got = sample_boltzmann(law, n_leaves, rng_factory(43))
+        want = sample_boltzmann(same, n_leaves, rng_factory(43))
+        assert np.array_equal(got.chords, want.chords)
 
 
 def test_boltzmann_validation(rng_factory):

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from looptrees import gw_tree
 from looptrees._bridge import cache_info, sample_conditioned_steps
+from looptrees.experiments import circle_gap_bound
 from looptrees.gw_tree import (
     LukasiewiczPath,
     OffspringLaw,
@@ -24,6 +26,8 @@ from looptrees.gw_tree import (
     stable_offspring,
     tree_stats,
 )
+from looptrees.layout import looptree_layout
+from looptrees.looptree import build_loop, build_loop_prime
 
 from conftest import ORACLE_TABLE, invert_tail, sample_offspring
 
@@ -161,6 +165,15 @@ def test_default_stable_law_holds_no_table():
         assert cache_info()["entries"] == before
 
 
+@pytest.mark.parametrize("variant", ["generic", "no-unary"])
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_stable_law_works_out_its_flags(alpha, variant):
+    law = stable_offspring(alpha, variant)
+    theta = 1.0 / float(zeta(alpha, 1 if variant == "generic" else 2))
+    assert law.tail_constant == theta / alpha
+    assert law.forbids_unary == (variant == "no-unary")
+
+
 def test_offspring_law_validation():
     with pytest.raises(ValueError):
         OffspringLaw.from_probabilities([0.5, 0.5, 0.5])
@@ -173,11 +186,15 @@ def test_offspring_law_validation():
 # ---- tree and walk types ----
 
 def test_plane_tree_validation():
-    with pytest.raises(ValueError):
+    # a tree is checked as its walk, so its messages are the walk's
+    with pytest.raises(ValueError, match=r"^walk ends at 0, expected -1$"):
         PlaneTree([2, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^walk ends at -2, expected -1$"):
         PlaneTree([0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^walk goes negative before the end \(at index 2\)$"):
+        PlaneTree([1, 0, 0, 2])
+    with pytest.raises(ValueError, match=r"^steps must be a nonempty 1-d sequence$"):
         PlaneTree([])
     PlaneTree([0])
 
@@ -200,6 +217,22 @@ def test_encode_example():
     single = encode_tree(PlaneTree([0]))
     w1 = np.concatenate([[0], np.cumsum(single.steps)])
     assert w1.tolist() == [0, -1]
+
+
+def test_consumers_of_one_tree_share_one_genealogy(monkeypatch, rng_factory):
+    built = []
+    real = gw_tree._TreeIndex
+    monkeypatch.setattr(gw_tree, "_TreeIndex",
+                        lambda *args: built.append(1) or real(*args))
+    law = stable_offspring(1.5)
+    tree = sample_conditioned_tree(law, 500, rng_factory(17))
+    assert encode_tree(tree) is encode_tree(tree)
+    build_loop(tree)
+    build_loop_prime(tree)
+    tree_stats(tree)
+    looptree_layout(tree)
+    circle_gap_bound(tree, law.scaling_constant(500), 16)
+    assert len(built) == 1
 
 
 def test_json_round_trips():

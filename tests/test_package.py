@@ -1,9 +1,11 @@
 """The package root: its ``__all__`` is the modules' own lists, each public
-name once, and names that left the package stay gone."""
+name once, names that left the package stay gone, and an offspring law takes
+only its values."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
@@ -44,3 +46,11 @@ def test_root_all_is_the_module_lists():
 ])
 def test_removed_names_are_gone(name):
     assert not hasattr(looptrees, name)
+
+
+def test_a_law_takes_only_its_values():
+    # forbids_unary and tail_constant are worked out from the atoms
+    params = inspect.signature(looptrees.OffspringLaw).parameters
+    assert "forbids_unary" not in params and "tail_constant" not in params
+    finite = inspect.signature(looptrees.OffspringLaw.from_probabilities)
+    assert list(finite.parameters) == ["probabilities"]
