@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, experiments
 from .dissection import Dissection, sample_boltzmann
 from .excursion_metric import rescale
@@ -303,7 +301,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             d = Dissection(doc["n_sides"], doc["chords"])
             svg = d.to_svg(header_lines=header)
         elif "children_counts" in doc:  # tree.json or looptree.json (tree echo)
-            tree = PlaneTree(np.asarray(doc["children_counts"], dtype=np.int64))
+            tree = PlaneTree(doc["children_counts"])
             svg = looptree_svg(tree, header_lines=header)
         else:
             raise ValueError("has neither chords nor children_counts")

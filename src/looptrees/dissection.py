@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
 from ._bridge import _conditioned, _draw_in_segments
-from .gw_tree import LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift
+from .gw_tree import (LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift,
+                      _integers)
 from .looptree import LoopGraph, loop_distances
 
 __all__ = [
@@ -35,10 +37,10 @@ class Dissection:
     __slots__ = ("n_sides", "chords")
 
     def __init__(self, n_sides: int, chords=()):
-        n = int(n_sides)
+        n = operator.index(n_sides)
         if n < 3:
             raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-        arr = np.asarray(list(chords), dtype=np.int64).reshape(-1, 2)
+        arr = _integers(list(chords), "chord endpoints").reshape(-1, 2)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("chord endpoint outside the polygon")
@@ -277,9 +279,9 @@ def sample_boltzmann(law: OffspringLaw, n_leaves: int,
     """
     if not law.forbids_unary:
         raise ValueError("the offspring law must give unary vertices zero mass")
-    if n_leaves < 2:
-        raise ValueError(f"n_leaves must be >= 2, got {n_leaves}")
-    n = int(n_leaves)
+    n = operator.index(n_leaves)
+    if n < 2:
+        raise ValueError(f"n_leaves must be >= 2, got {n}")
     mu = law.pmf(np.arange(n + 1))
     # the block tables share the bridge's cache with the law's own, under a
     # key of their own, so laws of equal values build them once per n;
@@ -309,14 +311,13 @@ def _dual_gap(d: Dissection):
     vertices 1..n-1, taken from the walk."""
     counts, regions, depth = _dual_with_regions(d)
     path = LukasiewiczPath(counts - 1)
-    corner = np.arange(1, path.n)
-    loop_dist = loop_distances(path, corner[:, None], corner[None, :],
-                               root_cycle=int(counts[0]))
+    corner = np.arange(path.n - 1)
+    loop_dist = loop_distances(path, corner[:, None], corner[None, :])
     poly_dist = d.graph_distances()
     # endpoints in polygon labels, lo ends then hi ends; skip the root (its
     # region is the root side)
     px = (regions[1:] % d.n_sides).T.ravel()
-    gx = np.concatenate([corner, corner]) - 1
+    gx = np.concatenate([corner, corner])
     dis = np.abs(
         poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]
     ).max()

@@ -5,8 +5,8 @@ turns each jump into a loop of that length (Curien-Kortchemski), so a vertex
 with k children is a loop of length k - 1 that carries its children at the
 integer positions 0..k-1.  Every distance is therefore an integer divided by
 B, and the integer is the one climb of ``looptree`` in the third of its
-conventions: slot pos - 1 on a cycle of steps slots, where the loop graphs
-take slot pos on steps + 2 slots.
+conventions, _LOOPTREE.  The distances take integer time indices, or
+integer arrays of them broadcast against each other.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gw_tree import LukasiewiczPath
-from .looptree import _lockstep_climb, _pair_climb
+from .looptree import _LOOPTREE, _walk_distance
 
 __all__ = [
     "JumpPath",
@@ -66,30 +66,13 @@ def rescale(path: LukasiewiczPath, scale: float) -> JumpPath:
     return JumpPath(path, scale)
 
 
-def looptree_distance(path: JumpPath, s: int, t: int) -> float:
+def looptree_distance(path: JumpPath, s, t):
     """Pseudo-metric between time indices s and t: both climb to their most
     recent common ancestor, and every loop on the way adds the shorter arc
     between two integer positions."""
-    return _pair_climb(path.walk, s, t, -1, 0) / path.scale
+    return _walk_distance(path.walk, s, t, _LOOPTREE) / path.scale
 
 
 def distance_from_root(path: JumpPath, t):
-    """Distance to time 0.
-
-    ``t`` is one time index, which gives a float, or an integer array of
-    them, which gives an array of the same shape.  All times climb in
-    lockstep, one ancestor per round.
-    """
-    times = np.asarray(t)
-    if times.dtype.kind not in "iu":
-        raise TypeError(f"time indices must be integers, got {times.dtype}")
-    bad = (times < 0) | (times >= path.n)
-    if bad.any():
-        raise IndexError(f"time index {int(times[bad].flat[0])} out of range "
-                         f"[0, {path.n}); the final entry is the endpoint")
-    hi = times.astype(np.int64).ravel()
-    walk = path.walk
-    total = _lockstep_climb(walk, walk._ensure_index().pos - 1, walk.steps,
-                            np.zeros_like(hi), hi)
-    out = total.reshape(times.shape) / path.scale
-    return out if times.ndim else float(out)
+    """Distance to time 0."""
+    return looptree_distance(path, 0, t)

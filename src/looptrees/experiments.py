@@ -20,7 +20,7 @@ from ._bridge import sample_conditioned_steps
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
-from .looptree import build_loop, loop_distances
+from .looptree import build_loop, loop_distances, loop_prime_distance
 from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
@@ -233,15 +233,11 @@ def circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
     graph = build_loop(tree)
     m = min(anchors, graph.vertex_count)
     ids = np.rint(np.arange(m) * (n - 1) / m).astype(np.int64)
-    ids = np.clip(ids, 1, n - 1) - 1  # corner of vertex k has graph id k-1
+    ids = np.clip(ids - 1, 0, graph.vertex_count - 1)  # tree vertex k's corner
     nearest = dijkstra(graph.adjacency(), unweighted=True, indices=ids,
                        min_only=True)
     eps_graph = float(nearest.max())
-    path = encode_tree(tree)
-    corner = ids + 1
-    # the root's cycle in the corner graph has one slot per child
-    da = loop_distances(path, corner[:, None], corner[None, :],
-                        root_cycle=int(path.steps[0]) + 1) / b
+    da = loop_distances(encode_tree(tree), ids[:, None], ids[None, :]) / b
     k = np.arange(m)
     gap = np.abs(k[:, None] - k[None, :])
     dc = np.minimum(gap, m - gap) / m
@@ -349,8 +345,7 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
         # first corner, row 0 of the corner matrix
         nt = path.n
         v = np.arange(nt)
-        dp = loop_distances(path, v[:, None], v[None, :],
-                            root_cycle=int(path.steps[0]) + 2)
+        dp = loop_prime_distance(path, v[:, None], v[None, :])
         px = np.concatenate([[0], v[:-1]])
         dis = int(np.abs(dl[np.ix_(px, px)] - dp).max())
         return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -76,10 +77,10 @@ class OffspringLaw:
         self._theta = _theta
         self._support_start = _support_start
         total = float(pmf.sum()) + self._beyond_table(0)
-        if abs(total - 1.0) > _PMF_SUM_TOL:
+        if not abs(total - 1.0) <= _PMF_SUM_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         mean = self.mean()
-        if abs(mean - 1.0) > _MEAN_TOL:
+        if not abs(mean - 1.0) <= _MEAN_TOL:
             raise ValueError(f"offspring mean is {mean!r}; the law must be critical")
         self.forbids_unary = self.pmf(1) == 0.0
         self.tail_constant = None if _theta is None else _theta / self.alpha
@@ -193,6 +194,21 @@ def stable_offspring(alpha: float, variant: str = "generic",
     return OffspringLaw(pmf, alpha=alpha, _theta=theta, _support_start=start)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; raises ValueError if one of them is
+    not an integer (a float such as 2.0 is one)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            out = arr.astype(np.int64)
+        if np.array_equal(out, arr):
+            return out
+        arr = arr[out != arr]
+    raise ValueError(f"{what} must be integers, got {arr.ravel()[:1].tolist()[0]!r}")
+
+
 class PlaneTree:
     """Rooted plane tree given by DFS-ordered children counts.
 
@@ -204,7 +220,7 @@ class PlaneTree:
     __slots__ = ("children_counts", "_path")
 
     def __init__(self, children_counts):
-        arr = np.asarray(children_counts, dtype=np.int64)
+        arr = _integers(children_counts, "children counts")
         self._path = LukasiewiczPath(arr - 1)
         self.children_counts = arr
 
@@ -243,7 +259,7 @@ class LukasiewiczPath:
     __slots__ = ("steps", "values", "_index")
 
     def __init__(self, steps):
-        arr = np.asarray(steps, dtype=np.int64)
+        arr = _integers(steps, "steps")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("steps must be a nonempty 1-d sequence")
         if arr.min() < -1:
@@ -384,8 +400,6 @@ def _cycle_shift(steps: np.ndarray) -> np.ndarray:
     """
     partial = np.cumsum(steps)
     m = int(np.argmin(partial))  # first index attaining the minimum
-    if m == steps.size - 1:
-        return steps.copy()
     return np.roll(steps, -(m + 1))
 
 
@@ -398,6 +412,7 @@ def sample_conditioned_tree(law: OffspringLaw, n: int,
     them into the unique valid walk.  Raises ValueError when no tree of this
     law has n vertices.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:

@@ -12,12 +12,9 @@ Distances in both graphs also come in closed form from the Lukasiewicz
 walk, so neither graph has to be built to measure them.  Both vertices of
 a pair climb the walk's genealogy to their most recent common ancestor, and
 every cycle on the way adds the circular gap between two slots.  One climb
-serves three conventions, which differ only in a vertex's slot on its
-parent's cycle and in a cycle's length: slot pos on steps + 2 slots in the
-sibling-joined graph, the same but steps + 1 slots at the root in the corner
-graph, and slot pos - 1 on steps slots in the continuous looptree of
-excursion_metric.  loop_distances climbs arrays of pairs in lockstep, and
-loop_prime_distance climbs one pair.
+serves three conventions, each written once below: the two graphs and the
+continuous looptree of excursion_metric.  Each distance function takes a
+pair of integers or integer arrays, numbered like its own graph.
 """
 
 from __future__ import annotations
@@ -195,43 +192,79 @@ def build_loop_prime(tree: PlaneTree) -> LoopGraph:
     return LoopGraph(n, edges, np.arange(n, dtype=np.int64))
 
 
-def loop_prime_distance(path: LukasiewiczPath, i: int, j: int) -> int:
-    """Exact distance between vertices i and j in the sibling-joined graph,
-    straight from the walk: the climb of loop_distances run for one pair,
-    where every cycle, the root's included, has child count plus one slots.
+# The three conventions, each as (slot shift, extra slots per cycle, extra
+# slots at the root, first tree vertex): a vertex v > 0 sits at slot
+# pos[v] + shift of its parent's cycle, which has steps + extra slots
+# (steps + root extra at the root), and graph vertex g is tree vertex
+# g + first.
+_PRIME = (0, 2, 2, 0)  # build_loop_prime
+_CORNER = (0, 2, 1, 1)  # build_loop: the root has no corner of its own
+_LOOPTREE = (-1, 0, 0, 0)  # excursion_metric: a loop of length k - 1
+_INT = (int, np.integer)
+
+
+def _walk_distance(path: LukasiewiczPath, i, j, convention):
+    """Exact distance between graph vertices i and j of one convention,
+    straight from the walk: an int for a pair of integers, and for integer
+    arrays (broadcast against each other) an array of their shape.
+
+    Both vertices climb to their most recent common ancestor, adding the
+    gap from slot 0 on each cycle they cross, and the two branch slots add
+    their gap on the meeting cycle; lo's own slot is 0 when lo is that
+    ancestor.  Arrays climb in lockstep, one parent step per round.
     """
-    return _pair_climb(path, i, j, 0, 2)
-
-
-def _pair_climb(path: LukasiewiczPath, i: int, j: int, shift: int,
-                extra: int) -> int:
-    """The climb of one pair of vertices, where a vertex sits at slot
-    pos + ``shift`` of its parent's cycle and a cycle has steps + ``extra``
-    slots; a vertex's own slot on its own cycle is 0."""
+    shift, extra, root_extra, first = convention
     n = path.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex pair ({i}, {j}) out of range [0, {n})")
-    if i == j:
-        return 0
-    lo, hi = min(i, j), max(i, j)
+    count = n - first or 1  # the corner graph of a one-vertex tree is its root
     idx = path._ensure_index()
-    parent, pos, steps = idx.parent, idx.pos, path.steps
-    total = 0
-    meet = int(parent[hi])
-    while meet > lo:
-        x = int(pos[hi]) + shift
-        total += min(x, int(steps[meet]) + extra - x)
-        hi, meet = meet, int(parent[meet])
-    x_lo = 0  # lo's own slot, when lo is the meeting vertex
-    if meet != lo:
-        a = int(parent[lo])
-        while a > meet:
-            x = int(pos[lo]) + shift
-            total += min(x, int(steps[a]) + extra - x)
-            lo, a = a, int(parent[a])
-        x_lo = int(pos[lo]) + shift
-    width = abs(int(pos[hi]) + shift - x_lo)
-    return total + min(width, int(steps[meet]) + extra - width)
+    if isinstance(i, _INT) and isinstance(j, _INT):
+        if not (0 <= i < count and 0 <= j < count):
+            raise IndexError(f"vertex pair ({i}, {j}) out of range [0, {count})")
+        if i == j:
+            return 0
+        lo, hi = min(i, j) + first, max(i, j) + first
+        parent, pos, steps = idx.parent, idx.pos, path.steps
+        total = 0
+        meet = int(parent[hi])
+        while meet > lo:
+            x = int(pos[hi]) + shift
+            total += min(x, int(steps[meet]) + extra - x)
+            hi, meet = meet, int(parent[meet])
+        x_lo = 0
+        if meet != lo:
+            a = int(parent[lo])
+            while a > meet:
+                x = int(pos[lo]) + shift
+                total += min(x, int(steps[a]) + extra - x)
+                lo, a = a, int(parent[a])
+            x_lo = int(pos[lo]) + shift
+        width = abs(int(pos[hi]) + shift - x_lo)
+        cycle = int(steps[meet]) + (extra if meet else root_extra)
+        return total + min(width, cycle - width)
+    a, b = np.asarray(i), np.asarray(j)
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise TypeError(f"vertex indices must be integers, got {a.dtype} "
+                        f"and {b.dtype}")
+    a, b = np.broadcast_arrays(a.astype(np.int64, copy=False),
+                               b.astype(np.int64, copy=False))
+    lo = np.minimum(a, b).ravel()
+    hi = np.maximum(a, b).ravel()
+    if lo.size and (lo.min() < 0 or hi.max() >= count):
+        raise IndexError(f"vertex index out of range [0, {count})")
+    lo += n - count  # first, but 0 on a one-vertex tree
+    hi += n - count
+    parent = idx.parent
+    slot = idx.pos + shift
+    cycle = path.steps + extra
+    cycle[0] += root_extra - extra
+    step_up = np.minimum(slot, cycle[parent] - slot)  # gap from slot 0
+    c_hi, sum_hi = _climb(parent, step_up, hi, lo)
+    meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
+    c_lo, sum_lo = _climb(parent, step_up, lo, meet)
+    width = np.abs(slot[c_hi] - np.where(lo == meet, 0, slot[c_lo]))
+    out = sum_lo + sum_hi + np.minimum(width, cycle[meet] - width)
+    out[lo == hi] = 0
+    return out.reshape(a.shape)
 
 
 def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,
@@ -250,47 +283,12 @@ def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,
     return cur, total
 
 
-def loop_distances(path: LukasiewiczPath, i, j, root_cycle: int) -> np.ndarray:
-    """Exact loop-graph distances between the vertex arrays i and j
-    (broadcast against each other), from the walk and without a graph.
-
-    A vertex v > 0 sits at position W_v - W_p + 1 on the cycle of its parent
-    p, where position 0 is p's own slot, and a vertex with k children has a
-    cycle of k + 1 slots.  Only the root's cycle length is a convention, and
-    it is ``root_cycle``: k + 1 for the sibling-joined graph of
-    build_loop_prime, k for the corner graph of build_loop (whose vertex
-    v - 1 stands for tree vertex v; vertex 0 has no corner there).
-    """
-    n = path.n
-    a, b = np.broadcast_arrays(np.asarray(i, dtype=np.int64),
-                               np.asarray(j, dtype=np.int64))
-    lo = np.minimum(a, b).ravel()
-    hi = np.maximum(a, b).ravel()
-    if lo.size and (lo.min() < 0 or hi.max() >= n):
-        raise IndexError(f"vertex index out of range [0, {n})")
-    cycle = path.steps + 2
-    cycle[0] = root_cycle
-    return _lockstep_climb(path, path._ensure_index().pos, cycle, lo,
-                           hi).reshape(a.shape)
+def loop_prime_distance(path: LukasiewiczPath, i, j):
+    """Distances in build_loop_prime's graph, numbered like it: tree vertices."""
+    return _walk_distance(path, i, j, _PRIME)
 
 
-def _lockstep_climb(path: LukasiewiczPath, slot: np.ndarray,
-                    cycle: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> np.ndarray:
-    """The climb of the pairs lo[k] <= hi[k], all in lockstep, where vertex
-    v sits at ``slot[v]`` of its parent's cycle of ``cycle[parent]`` slots.
-
-    Both vertices climb to their most recent common ancestor, adding the
-    gap from slot 0 on each cycle they cross, and the two branch slots add
-    their gap on the meeting cycle; lo's own slot is 0 when lo is that
-    ancestor.  All pairs climb together, one parent step per round.
-    """
-    parent = path._ensure_index().parent
-    step_up = np.minimum(slot, cycle[parent] - slot)  # gap from slot 0
-    c_hi, sum_hi = _climb(parent, step_up, hi, lo)
-    meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
-    c_lo, sum_lo = _climb(parent, step_up, lo, meet)
-    width = np.abs(slot[c_hi] - np.where(lo == meet, 0, slot[c_lo]))
-    out = sum_lo + sum_hi + np.minimum(width, cycle[meet] - width)
-    out[lo == hi] = 0
-    return out
+def loop_distances(path: LukasiewiczPath, i, j):
+    """Distances in build_loop's graph, numbered like it: vertex g is the
+    corner of tree vertex g + 1."""
+    return _walk_distance(path, i, j, _CORNER)

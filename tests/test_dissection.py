@@ -216,6 +216,19 @@ def test_boltzmann_validation(rng_factory):
         sample_boltzmann(stable_offspring(1.5, "no-unary"), 1, rng)
 
 
+def test_non_integer_input_fails_fast(rng_factory):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Dissection(4.9, [(0, 2)])
+    with pytest.raises(ValueError, match=r"^chord endpoints must be integers, got 0\.5$"):
+        Dissection(4, [(0.5, 2.7)])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_boltzmann(stable_offspring(1.5, "no-unary"), 3.9, rng_factory(41))
+    # an empty chord list is float to numpy, and still no chord at all
+    assert Dissection(4, []).chord_count == 0
+    assert Dissection(np.int64(4), np.array([[0, 2]])).chord_count == 1
+    assert Dissection(4, [(0.0, 2.0)]) == Dissection(4, [(0, 2)])
+
+
 def test_boltzmann_leaf_counts_exact(rng_factory):
     rng = rng_factory(42)
     law = stable_offspring(1.5, variant="no-unary")

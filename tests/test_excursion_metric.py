@@ -209,6 +209,19 @@ def test_batched_root_distance_is_the_single_time_climb_bit_for_bit(rng_factory)
         assert [distance_from_root(p, int(t)) for t in times] == want
 
 
+def test_looptree_distance_on_arrays_is_its_pair_form_bit_for_bit(rng_factory):
+    rng = rng_factory(39)
+    for _ in range(30):
+        walk, b = random_walk(rng, 60)
+        p = rescale(walk, b)
+        v = np.arange(walk.n)
+        want = [[looptree_distance(p, s, t) for t in range(walk.n)]
+                for s in range(walk.n)]
+        assert looptree_distance(p, v[:, None], v[None, :]).tolist() == want
+        assert looptree_distance(p, v[::-1], v).tolist() == \
+            [want[walk.n - 1 - t][t] for t in range(walk.n)]
+
+
 def test_distance_is_the_window_minimum_climb_bit_for_bit(rng_factory):
     # at scale 1 every float in the climbs is an integer, so the float
     # climbs on the stack genealogy are exact

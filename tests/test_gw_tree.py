@@ -183,6 +183,13 @@ def test_offspring_law_validation():
         stable_offspring(1.5, cutoff=0)
 
 
+def test_a_nan_law_fails_at_construction():
+    # NaN compares false with every tolerance, so the checks are written to fail on it
+    for atoms in ([np.nan, 1.0], [0.5, np.nan, 0.5]):
+        with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
+            OffspringLaw(atoms)
+
+
 # ---- tree and walk types ----
 
 def test_plane_tree_validation():
@@ -406,6 +413,24 @@ def test_sample_size_one_is_single_vertex():
     rng = np.random.default_rng(3)
     for _ in range(5):
         assert sample_conditioned_tree(law, 1, rng) == PlaneTree([0])
+
+
+def test_non_integer_input_fails_fast():
+    with pytest.raises(ValueError, match=r"^children counts must be integers, got 2\.5$"):
+        PlaneTree([2.5, 0, 0])
+    with pytest.raises(ValueError, match=r"^children counts must be integers, got '2'$"):
+        PlaneTree(["2", 0, 0])
+    with pytest.raises(ValueError, match=r"^children counts must be integers, got nan$"):
+        PlaneTree([np.nan, 0])
+    with pytest.raises(ValueError, match=r"^steps must be integers, got 0\.9$"):
+        LukasiewiczPath([0.9, -1])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_conditioned_tree(stable_offspring(1.5), 3.5, np.random.default_rng(3))
+    # integral floats and numpy integers are integers
+    assert PlaneTree([2.0, 0.0, 0.0]) == PlaneTree([2, 0, 0])
+    assert LukasiewiczPath(np.array([1, -1, -1], dtype=np.int8)).n == 3
+    assert sample_conditioned_tree(stable_offspring(1.5), np.int32(3),
+                                   np.random.default_rng(3)).size == 3
 
 
 def test_sample_rejects_bad_size():

@@ -13,6 +13,7 @@ from looptrees.gw_tree import (
     sample_conditioned_tree,
     stable_offspring,
 )
+from looptrees.excursion_metric import looptree_distance, rescale
 from looptrees.looptree import (
     LoopGraph,
     build_loop,
@@ -155,29 +156,29 @@ def test_loop_loop_prime_corner_correspondence(small_trees, rng_factory):
     assert worst <= 4
 
 
+_SPECIAL_TREES = [
+    PlaneTree([1, 0]),                 # n = 2
+    PlaneTree([2, 0, 0]),              # n = 3, root cycle of two slots
+    PlaneTree([1, 1, 0]),              # n = 3, root with one child
+    PlaneTree([9] + [0] * 9),          # star
+    PlaneTree([1] * 30 + [0]),         # chain
+    PlaneTree([1, 4, 0, 2, 0, 0, 0, 0]),  # root with one child, below it a tree
+]
+
+
 def _corner_kernel_matches_bfs(tree: PlaneTree) -> int:
-    # corner graph vertex v - 1 is tree vertex v; the root cycle has one
-    # slot per child
+    # the walk distance takes build_loop's own ids
     path = encode_tree(tree)
-    corner = np.arange(1, tree.size)
-    got = loop_distances(path, corner[:, None], corner[None, :],
-                         root_cycle=int(path.steps[0]) + 1)
-    want = build_loop(tree).distances()
-    assert np.array_equal(got, want), tree.children_counts.tolist()
-    return corner.size ** 2
+    graph = build_loop(tree)
+    v = np.arange(graph.vertex_count)
+    got = loop_distances(path, v[:, None], v[None, :])
+    assert np.array_equal(got, graph.distances()), tree.children_counts.tolist()
+    return v.size ** 2
 
 
 def test_corner_kernel_matches_bfs_on_every_pair(rng_factory):
     pairs = 0
-    special = [
-        PlaneTree([1, 0]),                 # n = 2
-        PlaneTree([2, 0, 0]),              # n = 3, root cycle of two slots
-        PlaneTree([1, 1, 0]),              # n = 3, root with one child
-        PlaneTree([9] + [0] * 9),          # star
-        PlaneTree([1] * 30 + [0]),         # chain
-        PlaneTree([1, 4, 0, 2, 0, 0, 0, 0]),  # root with one child, below it a tree
-    ]
-    for tree in special:
+    for tree in _SPECIAL_TREES:
         pairs += _corner_kernel_matches_bfs(tree)
     rng = rng_factory(24)
     for alpha in (1.05, 1.5, 1.95):
@@ -188,12 +189,27 @@ def test_corner_kernel_matches_bfs_on_every_pair(rng_factory):
     assert pairs > 100_000
 
 
+def test_walk_distances_equal_bfs_of_their_own_graph_in_both_forms():
+    # each function in its own graph's numbering, as a pair and as arrays;
+    # the one-vertex tree's corner graph is its root
+    for tree in _SPECIAL_TREES + [PlaneTree([0])]:
+        path = encode_tree(tree)
+        for distance, build in ((loop_prime_distance, build_loop_prime),
+                                (loop_distances, build_loop)):
+            want = build(tree).distances()
+            v = np.arange(want.shape[0])
+            assert np.array_equal(distance(path, v[:, None], v), want)
+            pairs = [[distance(path, i, j) for j in range(v.size)]
+                     for i in range(v.size)]
+            assert np.array_equal(pairs, want), tree.children_counts.tolist()
+            assert distance(path, np.int64(v[-1]), np.int32(0)) == want[-1, 0]
+
+
 def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
     def check(tree):
         path = encode_tree(tree)
         v = np.arange(tree.size)
-        got = loop_distances(path, v[:, None], v[None, :],
-                             root_cycle=int(path.steps[0]) + 2)
+        got = loop_prime_distance(path, v[:, None], v[None, :])
         assert np.array_equal(got, build_loop_prime(tree).distances())
         return got
 
@@ -215,20 +231,42 @@ def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
             tree = sample_conditioned_tree(law, int(rng.integers(2, 151)), rng)
             path = encode_tree(tree)
             v = np.arange(tree.size)
-            want = loop_distances(path, v[:, None], v[None, :],
-                                  root_cycle=int(path.steps[0]) + 2)
+            want = loop_prime_distance(path, v[:, None], v[None, :])
             assert np.array_equal(scalar(tree), want), tree.children_counts.tolist()
 
 
 def test_loop_distances_shapes_and_validation():
-    path = encode_tree(PlaneTree([2, 2, 0, 0, 0]))
-    assert loop_distances(path, 2, 4, root_cycle=3).shape == ()
-    assert loop_distances(path, [0, 1, 2], 4, root_cycle=3).tolist() == \
+    path = encode_tree(PlaneTree([2, 2, 0, 0, 0]))  # 5 tree vertices, 4 corners
+    assert loop_distances(path, np.array(2), 3).shape == ()
+    assert loop_prime_distance(path, np.array(2), 4).shape == ()
+    assert loop_distances(path, [0, 1, 2], 3).tolist() == \
+        [loop_distances(path, k, 3) for k in (0, 1, 2)]
+    assert loop_prime_distance(path, [0, 1, 2], 4).tolist() == \
         [loop_prime_distance(path, k, 4) for k in (0, 1, 2)]
     with pytest.raises(IndexError):
-        loop_distances(path, [0, 5], 1, root_cycle=3)
+        loop_distances(path, [0, 4], 1)
     with pytest.raises(IndexError):
-        loop_distances(path, -1, 1, root_cycle=3)
+        loop_distances(path, -1, 1)
+    # the root's cycle length is no longer an option
+    with pytest.raises(TypeError, match="root_cycle"):
+        loop_distances(path, 2, 3, root_cycle=3)
+
+
+def test_walk_distances_reject_float_and_out_of_range_indices():
+    path = encode_tree(PlaneTree([2, 2, 0, 0, 0]))
+    jp = rescale(path, 1.0)
+    cases = [(lambda i, j: loop_prime_distance(path, i, j), 5),
+             (lambda i, j: loop_distances(path, i, j), 4),
+             (lambda i, j: looptree_distance(jp, i, j), 5)]
+    for distance, count in cases:
+        for i, j in ((1.0, 0), (0, np.float64(1.0)), (np.array([0.0]), 1),
+                     ([0, 1], [1.5, 2])):
+            with pytest.raises(TypeError, match="integers"):
+                distance(i, j)
+        for i, j in ((count, 0), (0, -1), ([0, count], 1), (np.array([-1]), 0)):
+            with pytest.raises(IndexError, match=f"range \\[0, {count}\\)"):
+                distance(i, j)
+        assert distance(count - 1, 0) == distance([count - 1], [0])[0]
 
 
 def test_disconnected_graph_raises():
