@@ -50,6 +50,7 @@ lands on a value of zero weight.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from collections import OrderedDict
@@ -274,6 +275,7 @@ def _cdf_rows(pa: np.ndarray, pb: np.ndarray):
 
 def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarray:
     """One vector of n i.i.d. offspring counts conditioned to sum to n-1."""
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
     return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng)[0]

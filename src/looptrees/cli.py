@@ -326,7 +326,8 @@ def main(argv=None) -> int:
             return _cmd_experiment(args)
         except experiments.ConfigError as exc:
             flags = {key: "--" + opt for opt, key in _RUNS[args.name][1].items()}
-            parser.error(f"argument {flags.get(exc.param, exc.param)}: {exc}")
+            flag = flags.get(exc.param)
+            parser.error(f"argument {flag}: {exc}" if flag else str(exc))
     return _cmd_layout(args)
 
 

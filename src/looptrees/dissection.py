@@ -40,7 +40,7 @@ class Dissection:
         n = operator.index(n_sides)
         if n < 3:
             raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-        arr = _integers(list(chords), "chord endpoints").reshape(-1, 2)
+        arr = _integers(chords, "chord endpoints").reshape(-1, 2)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("chord endpoint outside the polygon")
@@ -55,8 +55,6 @@ class Dissection:
                 )
             arr = np.column_stack([lo, hi])
             arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-            if np.any((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0)):
-                raise ValueError("duplicate chord")
             _check_crossings(arr)
         self.n_sides = n
         self.chords = arr
@@ -127,20 +125,24 @@ class Dissection:
 
 
 def _check_crossings(chords: np.ndarray) -> None:
-    """Chords are normalized (lo, hi) rows; raise naming one crossing pair.
+    """Chords are normalized (lo, hi) rows; raise naming one crossing pair
+    or one repeated chord.
 
     Sweeps the chords by increasing lo, longer first, keeping the chords
     still open on a stack.  Non-crossing chords nest, so a new chord crosses
-    some open chord exactly when it crosses the innermost one.
+    some open chord exactly when it crosses the innermost one, and a copy of
+    a chord comes right after it, while it is the innermost.
     """
     order = np.lexsort((-chords[:, 1], chords[:, 0]))
-    stack = []
+    stack = [(-1, math.inf)]  # encloses every chord, so it is never popped
     for c, d in chords[order].tolist():
-        while stack and stack[-1][1] <= c:
+        while stack[-1][1] <= c:
             stack.pop()
-        if stack and stack[-1][1] < d:
-            a, b = stack[-1]
+        a, b = stack[-1]
+        if b < d:
             raise ValueError(f"chords ({a}, {b}) and ({c}, {d}) cross")
+        if a == c and b == d:
+            raise ValueError(f"duplicate chord ({c}, {d})")
         stack.append((c, d))
 
 
@@ -181,24 +183,18 @@ def from_dual(tree: PlaneTree) -> Dissection:
     """Dissection whose dual is ``tree``; needs >= 2 leaves and no unary
     vertex.  The k-th leaf in depth-first order becomes the polygon side
     (k, k+1) and every other non-root vertex the chord spanning its leaves."""
-    counts = tree.children_counts
-    if np.any(counts == 1):
-        v = int(np.argmax(counts == 1))
-        raise ValueError(f"vertex {v} has exactly one child; no dual dissection")
-    n_leaves = int(np.count_nonzero(counts == 0))
-    if n_leaves < 2:
-        raise ValueError("the dual construction needs at least 2 leaves")
-    n = n_leaves + 1
     chords = []
     # depth-first sweep; each open vertex remembers its first leaf's rank.
     # sample_boltzmann calls this once per draw, mostly on a few leaves,
     # where a loop costs less than the fixed cost of array calls
     leaf_rank = 0
     stack = []  # entries [vertex, first_leaf_rank, children_left]
-    for v, k in enumerate(counts.tolist()):
-        if k > 0:
+    for v, k in enumerate(tree.children_counts.tolist()):
+        if k > 1:
             stack.append([v, leaf_rank + 1, k])
             continue
+        if k == 1:
+            raise ValueError(f"vertex {v} has exactly one child; no dual dissection")
         leaf_rank += 1
         # a completed subtree closes one slot of each ancestor in turn
         while stack:
@@ -208,8 +204,10 @@ def from_dual(tree: PlaneTree) -> Dissection:
             v_done, first, _ = stack.pop()
             if v_done != 0:
                 chords.append((first, leaf_rank + 1))
-    chords_polygon = [(a % n, b % n) for a, b in chords]
-    return Dissection(n, chords_polygon)
+    if leaf_rank < 2:
+        raise ValueError("the dual construction needs at least 2 leaves")
+    n = leaf_rank + 1
+    return Dissection(n, [(a % n, b % n) for a, b in chords])
 
 
 def _block_pmf(mu: np.ndarray) -> np.ndarray:

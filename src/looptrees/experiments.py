@@ -62,9 +62,13 @@ def stream(seed: int, index: int) -> np.random.Generator:
 def _pool_size() -> int:
     raw = os.environ.get("LOOPTREE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError("LOOPTREE_THREADS", "LOOPTREE_THREADS must be an "
+                          f"integer of at least 1, got {raw!r}")
+    return workers
 
 
 def _map_replicates(fn, count: int):

@@ -118,7 +118,7 @@ class OffspringLaw:
 
     def pmf(self, k):
         """P(offspring = k), exact also beyond the stored table."""
-        arr = np.asarray(k, dtype=np.int64)
+        arr = _integers(k, "k")
         out = np.zeros(arr.shape, dtype=float)
         inside = (arr >= 0) & (arr < self._pmf.size)
         out[inside] = self._pmf[arr[inside]]
@@ -129,7 +129,7 @@ class OffspringLaw:
 
     def tail(self, k):
         """P(offspring >= k)."""
-        arr = np.asarray(k, dtype=np.int64)
+        arr = _integers(k, "k")
         if self._theta is not None:
             # mu_k = 0 on [1, support_start), so those k share one tail
             out = self._theta * _hurwitz_zeta(

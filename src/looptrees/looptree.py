@@ -20,12 +20,13 @@ pair of integers or integer arrays, numbered like its own graph.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .gw_tree import LukasiewiczPath, PlaneTree, encode_tree
+from .gw_tree import LukasiewiczPath, PlaneTree, _integers, encode_tree
 
 __all__ = [
     "LoopGraph",
@@ -50,12 +51,12 @@ class LoopGraph:
     __slots__ = ("vertex_count", "edges", "origin", "_adjacency")
 
     def __init__(self, vertex_count: int, edges, origin):
-        self.vertex_count = int(vertex_count)
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.vertex_count = operator.index(vertex_count)
+        arr = _integers(edges, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= vertex_count):
             raise ValueError("edge endpoint out of range")
         self.edges = arr
-        self.origin = np.asarray(origin, dtype=np.int64)
+        self.origin = _integers(origin, "origins")
         self._adjacency = None
 
     @property
@@ -91,7 +92,7 @@ class LoopGraph:
         if sources is None:
             idx = np.arange(self.vertex_count, dtype=np.int64)
         else:
-            idx = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+            idx = np.atleast_1d(_integers(sources, "sources"))
         dist = dijkstra(self.adjacency(), unweighted=True, indices=idx)
         if np.isinf(dist).any():
             row, col = np.argwhere(np.isinf(dist))[0]
@@ -101,23 +102,20 @@ class LoopGraph:
             )
         return dist.astype(np.int64)
 
+    def _sorted_edges(self) -> list:
+        """The edges as [u, v] with u <= v, sorted; multiplicity kept."""
+        rows = np.sort(self.edges, axis=1)
+        return rows[np.lexsort((rows[:, 1], rows[:, 0]))].tolist()
+
     def to_edge_list(self) -> str:
         """One 'u v' line per edge with u <= v, sorted; multiplicity kept."""
-        if not self.edges.size:
-            return ""
-        lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-        hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-        order = np.lexsort((hi, lo))
-        return "\n".join(f"{lo[k]} {hi[k]}" for k in order)
+        return "\n".join(f"{u} {v}" for u, v in self._sorted_edges())
 
     def to_json(self) -> str:
-        lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-        hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-        order = np.lexsort((hi, lo))
         return json.dumps(
             {
                 "vertex_count": self.vertex_count,
-                "edges": np.column_stack([lo, hi])[order].tolist(),
+                "edges": self._sorted_edges(),
                 "origin": self.origin.tolist(),
             },
             sort_keys=True,

@@ -4,9 +4,12 @@ center, and the pooled log-log fit that turns them into a dimension estimate.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
+from .gw_tree import _integers
 from .looptree import LoopGraph
 
 __all__ = ["ball_volume_profile", "dimension_estimate"]
@@ -17,12 +20,11 @@ MIN_CENTERS = 10
 
 def ball_volume_profile(graph: LoopGraph, center: int, radii) -> np.ndarray:
     """Vertex counts of balls around one center, one truncated search."""
-    r = np.asarray(radii, dtype=np.int64)
+    r = _integers(radii, "radii")
     if r.size == 0 or np.any(np.diff(r) <= 0) or r[0] < 0:
         raise ValueError("radii must be strictly increasing and nonnegative")
-    dist = dijkstra(
-        graph.adjacency(), unweighted=True, indices=center, limit=float(r[-1])
-    )
+    dist = dijkstra(graph.adjacency(), unweighted=True,
+                    indices=operator.index(center), limit=float(r[-1]))
     dist = dist[np.isfinite(dist)]
     return np.searchsorted(np.sort(dist), r, side="right").astype(np.int64)
 

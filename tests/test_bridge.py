@@ -485,6 +485,13 @@ def test_import_leaves_scipy_signal_out():
 
 # ---- attainability above the exact-convolution limit ----
 
+def test_bridge_size_must_be_an_integer():
+    law = stable_offspring(1.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_conditioned_steps(law, 3.5, np.random.default_rng(0))
+    assert sample_conditioned_steps(law, np.int16(3), np.random.default_rng(0)).sum() == 2
+
+
 def test_lattice_law_unattainable_above_limit():
     # support {0, 3}: n draws sum to n - 1 only when 3 divides n - 1, and the
     # FFT tables alone hold float noise where those zeros belong

@@ -252,6 +252,18 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     assert len(lines) == 1 and option in lines[0]
 
 
+def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LOOPTREE_THREADS", "abc")
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, "experiment", "max-jump", "--n", "500", "--replicates", "2")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "LOOPTREE_THREADS" in lines[0]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     (),
     *(("sample", kind) for kind in _KINDS),

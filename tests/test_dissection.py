@@ -55,10 +55,23 @@ def pairwise_crossings(chords: np.ndarray) -> None:
                 raise ValueError(f"chords ({a}, {b}) and ({c}, {d}) cross")
 
 
+def _names_a_real_fault(chords: np.ndarray, message: str) -> bool:
+    """Whether ``message`` names a repeated chord or a crossing pair of
+    ``chords``."""
+    rows = chords.tolist()
+    nums = list(map(int, re.findall(r"\d+", message)))
+    if message.startswith("duplicate chord"):
+        return rows.count(nums) >= 2
+    a, b, c, d = nums
+    return ([a, b] in rows and [c, d] in rows
+            and ((a < c < b < d) or (c < a < d < b)))
+
+
 def test_check_crossings_matches_pairwise_oracle(rng_factory):
     rng = rng_factory(44)
     law = stable_offspring(1.5, "no-unary")
     outcomes = {True: 0, False: 0}
+    repeats = 0
     for trial in range(400):
         n = int(rng.integers(4, 40))
         if trial % 4 == 0:
@@ -75,13 +88,34 @@ def test_check_crossings_matches_pairwise_oracle(rng_factory):
         outcomes[crossing] += 1
         if not crossing:
             _check_crossings(chords)
+        else:
+            with pytest.raises(ValueError, match="cross") as info:
+                _check_crossings(chords)
+            assert _names_a_real_fault(chords, str(info.value))
+        if not chords.size:
             continue
-        with pytest.raises(ValueError, match="cross") as info:
-            _check_crossings(chords)
-        a, b, c, d = map(int, re.findall(r"\d+", str(info.value)))
-        assert [a, b] in chords.tolist() and [c, d] in chords.tolist()
-        assert (a < c < b < d) or (c < a < d < b)
-    assert min(outcomes.values()) > 100
+        # the same chords with one of them repeated
+        k = int(rng.integers(len(chords)))
+        twice = np.insert(chords, int(rng.integers(len(chords) + 1)), chords[k], axis=0)
+        with pytest.raises(ValueError) as info:
+            _check_crossings(twice)
+        assert _names_a_real_fault(twice, str(info.value))
+        if not crossing:
+            assert str(info.value) == f"duplicate chord ({chords[k, 0]}, {chords[k, 1]})"
+            repeats += 1
+    assert min(outcomes.values()) > 100 and repeats > 100
+
+
+def test_chords_may_come_as_an_int64_array(rng_factory):
+    chords = np.array([(3, 1), (0, 3), (4, 6)], dtype=np.int64)
+    d = Dissection(7, chords)
+    assert d == Dissection(7, chords.tolist())
+    assert d.chords.tolist() == [[0, 3], [1, 3], [4, 6]]
+    chords[0] = (2, 4)  # the dissection keeps its own copy
+    assert d.chords.tolist() == [[0, 3], [1, 3], [4, 6]]
+    drawn = sample_boltzmann(stable_offspring(1.5, "no-unary"), 60, rng_factory(45))
+    assert Dissection(drawn.n_sides, drawn.chords) == drawn
+    assert Dissection(drawn.n_sides, drawn.chords.tolist()) == drawn
 
 
 def test_square_duals():

@@ -127,6 +127,18 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert r1 == r4
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+def test_bad_thread_count_fails_before_any_replicate(monkeypatch, raw):
+    def refuse(seed, index):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("looptrees.experiments.stream", refuse)
+    monkeypatch.setenv("LOOPTREE_THREADS", raw)
+    with pytest.raises(ConfigError, match=f"^LOOPTREE_THREADS .*, got {raw!r}$") as info:
+        max_jump_experiment(n=500, replicates=4)
+    assert info.value.param == "LOOPTREE_THREADS"
+
+
 def test_laplace_check_report_shape():
     rep = laplace_check(alphas=(1.2, 1.8), lams=(0.1, 1.0),
                         n_samples=30_000, seed=3)

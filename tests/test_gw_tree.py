@@ -433,6 +433,16 @@ def test_non_integer_input_fails_fast():
                                    np.random.default_rng(3)).size == 3
 
 
+def test_law_values_take_integer_counts_only():
+    law = stable_offspring(1.5)
+    for values in (law.pmf, law.tail):
+        with pytest.raises(ValueError, match=r"^k must be integers, got 2\.5$"):
+            values(2.5)
+        with pytest.raises(ValueError, match=r"^k must be integers, got 0\.5$"):
+            values([1, 0.5])
+        assert values(3.0) == values(np.int8(3)) == values(3)
+
+
 def test_sample_rejects_bad_size():
     law = stable_offspring(1.5)
     rng = np.random.default_rng(3)

@@ -30,6 +30,17 @@ def test_loop_graph_rejects_bad_edges():
         LoopGraph(2, np.array([[-1, 0]]), np.arange(2))
 
 
+def test_loop_graph_takes_integers_only():
+    with pytest.raises(ValueError, match=r"^edge endpoints must be integers, got 1\.5$"):
+        LoopGraph(3, [[0, 1.5], [1, 2]], np.arange(3))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        LoopGraph(3.5, [[0, 1], [1, 2]], np.arange(3))
+    g = LoopGraph(3, [[0, 1], [1, 2]], np.arange(3))
+    with pytest.raises(ValueError, match=r"^sources must be integers, got 0\.7$"):
+        g.distances([0.7])
+    assert g.distances([2.0]).tolist() == [[2, 1, 0]]
+
+
 def test_loop_hand_examples():
     g = build_loop(PlaneTree([0]))
     assert g.vertex_count == 1 and g.edge_count == 0

@@ -94,6 +94,14 @@ def test_ball_volume_profile(cycle4):
         ball_volume_profile(cycle4, 0, np.array([-1, 2]))
 
 
+def test_ball_volume_profile_takes_integers_only(cycle4):
+    with pytest.raises(ValueError, match=r"^radii must be integers, got 0\.5$"):
+        ball_volume_profile(cycle4, 0, [0.5, 1.7])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ball_volume_profile(cycle4, 1.5, [0, 1])
+    assert ball_volume_profile(cycle4, np.int64(1), [0.0, 1.0]).tolist() == [1, 3]
+
+
 def test_ball_volume_profile_against_dense(rng_factory):
     rng = rng_factory(55)
     tree = sample_conditioned_tree(stable_offspring(1.4), 200, rng)
