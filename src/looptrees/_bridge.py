@@ -12,18 +12,20 @@ The split itself (each level's segment sizes, their grouping by size and
 their order) depends on n alone, and is built as a split plan.  One cache
 entry per (source key, n) holds everything a draw of size n needs: the
 tables and the plan.  _conditioned is the one way in, for the offspring
-laws of sample_conditioned_steps (laws with equal values share an entry, see
-OffspringLaw._table_key) and for the block pmfs of sample_boltzmann.
-Entries of one size share one plan object, and the cache holds at most
-_TABLE_CACHE_BYTES, least recently used out first.  A warm sample only
-computes the segment totals and draws.
+laws of sample_conditioned_steps and sample_conditioned_max (laws with equal
+values share an entry, see OffspringLaw._table_key) and for the block pmfs
+of sample_boltzmann.  Entries of one size share one plan object, and the
+cache holds at most _TABLE_CACHE_BYTES, least recently used out first.  A
+warm sample only computes the segment totals and draws.
 
-Each group of equal-size segments takes one uniform u per segment, in
-order, before any of its draws, and each segment inverts its own conditional
-CDF at u, in one of three forms:
+A sample takes its n - 1 uniforms, one per segment of size >= 2, in one call
+rng.random(n - 1), before any draw: level by level, group by group within a
+level and in plan order within a group.  Each segment inverts its own
+conditional CDF at its uniform, in one of three forms, chosen by its total
+and by the number of segments in its group of the plan (its group's size):
 
-* CDF rows.  A group with at least _ROW_SEGMENTS segments of total
-  t <= _ROW_TOTAL draws those from rows built with the tables: row t holds
+* CDF rows.  A segment of total t <= _ROW_TOTAL in a group of at least
+  _ROW_SEGMENTS segments draws from rows built with the tables: row t holds
   t + P(J <= j | t), j = 0..t, so the rows laid end to end ascend and a
   search of t + u finds the draw.  A guide of the draws at _GUIDE cell edges
   of u spares most of the searches.  Row values lie below _ROW_TOTAL + 2,
@@ -34,18 +36,28 @@ CDF at u, in one of three forms:
   and a cumulative sum inside that block the draw.  Both sums start from 0,
   so the CDF is held to about (t / _BLOCK + _BLOCK) * 2**-53 of its mass,
   under 1e-12 for t < 10**6.
-* Shared.  The other segments of a group share one cumulative sum.  Each is
-  first scaled to 2**e integer units, e = 62 - bit_length(segments), and the
-  sum runs in int64, so it is exact and cannot overflow.  Truncating the
-  t + 1 <= _ALONE_TOTAL weights to whole units moves the CDF by less than
-  (t + 1) * 2**-e of the segment's mass, and float rounding adds about
-  (t + 1) * 2**-52.  A group has at most n/2 segments, so for n <= 10**6
-  that is below 2**12 * 2**-43 = 2**-31 (4.7e-10).
+* Shared.  The other segments drawn together share one cumulative sum.
+  Each is first scaled to 2**e integer units, e = 62 - bit_length(size of
+  its group), and the sum runs in int64, so it is exact and cannot
+  overflow.  Truncating the t + 1 <= _ALONE_TOTAL weights to whole units
+  moves the CDF by less than (t + 1) * 2**-e of the segment's mass, and
+  float rounding adds about (t + 1) * 2**-52.  A group has at most n/2
+  segments, so for n <= 10**6 that is below 2**12 * 2**-43 = 2**-31
+  (4.7e-10).
 
 So every draw inverts its own segment's CDF to within 1e-9 of that segment's
 mass for every n up to 10**6, however small that mass is next to the other
 segments of its group (a mass below 2**-960 gets fewer units), and no draw
-lands on a value of zero weight.
+lands on a value of zero weight.  A draw depends on nothing but its
+segment's size, total and uniform and its group's size: not on which other
+segments are drawn with it.
+
+That is what makes sample_conditioned_max exact.  Every value inside a
+segment is at most the segment's total, so a segment whose total is at most
+a value already drawn cannot hold a larger one, and the maximum skips it
+with all it contains.  The segments it does draw take the uniforms and the
+draws that the full sample gives them, so it returns the full sample's
+maximum bit for bit and leaves rng in the same state.
 """
 
 from __future__ import annotations
@@ -58,16 +70,17 @@ from collections import OrderedDict
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-__all__ = ["sample_conditioned_steps"]
+__all__ = ["sample_conditioned_max", "sample_conditioned_steps"]
 
 # below this the quadratic convolution is cheap and exact to the last bit,
 # which the small-size distribution tests rely on
 _EXACT_CONV_LIMIT = 4096
 # bytes of bridge tables and split plans kept across calls (see _TableCache)
 _TABLE_CACHE_BYTES = 128 * 2**20
-# a group of at least _ROW_SEGMENTS segments with totals <= _ROW_TOTAL draws
-# those from CDF rows; the tables hold rows for every segment size that some
-# level of the split holds that often, so n < 2 * _ROW_SEGMENTS builds none;
+# the segments of totals <= _ROW_TOTAL in a group of at least _ROW_SEGMENTS
+# segments draw from CDF rows; the tables hold rows for every segment size
+# that some level of the split holds that often, so n < 2 * _ROW_SEGMENTS
+# builds none;
 # the rows of a size hold (_ROW_TOTAL + 1) * (_ROW_TOTAL + 2) / 2 floats
 _ROW_TOTAL = 64
 _ROW_SEGMENTS = 1024
@@ -275,30 +288,40 @@ def _cdf_rows(pa: np.ndarray, pb: np.ndarray):
 
 def sample_conditioned_steps(law, n: int, rng: np.random.Generator) -> np.ndarray:
     """One vector of n i.i.d. offspring counts conditioned to sum to n-1."""
+    return _law_sample(law, n, rng, _bridge)
+
+
+def sample_conditioned_max(law, n: int, rng: np.random.Generator) -> int:
+    """max(sample_conditioned_steps(law, n, rng)), bit for bit, leaving rng
+    in the same state, without drawing the segments of the split that cannot
+    hold it (see the module docstring).
+
+    It raises the ValueError of an unattainable n as the full sample does.
+    A segment it skips cannot raise, though: where the tables have lost all
+    the mass of some segment's draw, the full sample raises RuntimeError,
+    and this raises it only when that segment is one it draws.  Otherwise it
+    returns the largest of the values it did draw, each of which the full
+    sample would have given too."""
+    return _law_sample(law, n, rng, _bridge_max)
+
+
+def _law_sample(law, n: int, rng: np.random.Generator, draw):
+    """``draw`` (_bridge or _bridge_max) on the cache entry of (law, n)."""
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
-    return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng)[0]
-
-
-def _conditioned(key, n: int, window, rng: np.random.Generator):
-    """n i.i.d. draws from the pmf ``window()`` on [0, n-1] conditioned to
-    sum to n-1, and the tables they came from (``tables[1]`` is the
-    window).  The entry of (key, n) is built from ``window()`` on a miss, so
-    equal keys must give equal windows."""
-    tables, plan = _TABLES.get(
-        (key, n), lambda: (_sum_pmf_tables(window()), _TABLES._shared_plan(n)))
-    return _bridge(tables, plan, rng), tables
+    return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng, draw)[0]
 
 
 def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
+                      u: np.ndarray, group: int) -> np.ndarray:
     """One draw per segment w[offsets[i]:offsets[i+1]], of length
     lengths[i], with probabilities proportional to w, by inverting its CDF
     at u[i], as an index relative to the segment's start.  The segments
-    share one exact int64 cumulative sum of 2**e units each (see the module
-    docstring); the draw is the first j whose cumulative count exceeds u[i]
-    times the segment's.  Scales ``w`` in place."""
+    share one exact int64 cumulative sum of 2**e units each, e = 62 -
+    bit_length(group), where ``group`` is at least the number of segments
+    (see the module docstring); the draw is the first j whose cumulative
+    count exceeds u[i] times the segment's.  Scales ``w`` in place."""
     starts = offsets[:-1]
     mass = np.add.reduceat(w, starts)
     smallest = mass.min()
@@ -308,7 +331,7 @@ def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
         # a smaller mass would take the scale past the float range; such a
         # segment gets fewer units
         mass = np.maximum(mass, 2.0**-960)
-    w *= (2.0 ** (62 - starts.size.bit_length()) / mass).repeat(lengths)
+    w *= (2.0 ** (62 - group.bit_length()) / mass).repeat(lengths)
     cum = w.cumsum(dtype=np.int64)
     edge = cum[offsets - 1]  # the count before each segment, then the total
     edge[0] = 0
@@ -359,28 +382,30 @@ def _draw_alone(pa: np.ndarray, pb: np.ndarray, t: int, u: float,
 
 
 def _draw_group(tables: dict, a: int, b: int, t: np.ndarray, u: np.ndarray,
-                ramp: np.ndarray) -> np.ndarray:
-    """The left-half totals of a group of segments of size a + b with totals
-    t, drawn at the uniforms u."""
-    m = a + b
-    if ("rows", m) in tables:
+                ramp: np.ndarray, group: int) -> np.ndarray:
+    """The left-half totals of segments of size a + b with totals t, drawn
+    at the uniforms u.  ``group``, the number of segments in their group of
+    the plan, sets the forms and the units, so each segment draws the same
+    whichever others of its group come with it."""
+    if group >= _ROW_SEGMENTS:
+        # the tables hold rows for every size that a level holds this often
         small = t <= _ROW_TOTAL
-        if np.count_nonzero(small) >= _ROW_SEGMENTS:
-            j = np.empty_like(t)
-            j[small] = _draw_rows(tables[("rows", m)], tables[("guide", m)],
-                                  t[small], u[small])
-            rest = np.flatnonzero(~small)
-            if rest.size:
-                j[rest] = _draw_weighted(tables[a], tables[b], t[rest], u[rest], ramp)
-            return j
-    return _draw_weighted(tables[a], tables[b], t, u, ramp)
+        j = np.empty_like(t)
+        j[small] = _draw_rows(tables[("rows", a + b)], tables[("guide", a + b)],
+                              t[small], u[small])
+        rest = np.flatnonzero(~small)
+        if rest.size:
+            j[rest] = _draw_weighted(tables[a], tables[b], t[rest], u[rest], ramp, group)
+        return j
+    return _draw_weighted(tables[a], tables[b], t, u, ramp, group)
 
 
 def _draw_weighted(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
-                   u: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+                   u: np.ndarray, ramp: np.ndarray, group: int) -> np.ndarray:
     """The left-half totals of segments with totals t and halves of pmfs pa
     and pb, drawn at the uniforms u from their weights: alone for totals of
-    at least _ALONE_TOTAL, the others on one shared cumulative sum."""
+    at least _ALONE_TOTAL, the others on one shared cumulative sum in the
+    units of a group of ``group`` segments."""
     lengths = t + 1
     offsets = np.zeros(t.size + 1, dtype=np.int64)
     lengths.cumsum(out=offsets[1:])
@@ -392,10 +417,10 @@ def _draw_weighted(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
                 j[i] = _draw_alone(pa, pb, int(t[i]), float(u[i]), ramp)
             shared = np.flatnonzero(t < _ALONE_TOTAL)
             if shared.size:
-                j[shared] = _draw_weighted(pa, pb, t[shared], u[shared], ramp)
+                j[shared] = _draw_weighted(pa, pb, t[shared], u[shared], ramp, group)
             return j
     w = _segment_weights(pa, pb, t, offsets, ramp)
-    return _draw_in_segments(w, offsets, lengths, u)
+    return _draw_in_segments(w, offsets, lengths, u, group)
 
 
 def _segment_weights(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
@@ -456,27 +481,115 @@ class _Plan(list):
     name, so the cache finds the plan of a size without a scan."""
 
 
-def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
-    conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
-    ``plan`` from _split_plan(n).  Each group takes one uniform per segment
-    from ``rng``, drawn before any of its segments."""
+def _attained(tables: dict) -> int:
+    """n, the length of the window ``tables[1]``, once n draws from it are
+    known to reach the total n - 1."""
     n = tables[1].size
     if tables[n] <= 0.0:
         raise ValueError(
             f"total {n - 1} is unattainable by {n} draws from this law"
         )
+    return n
+
+
+def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
+    conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
+    ``plan`` from _split_plan(n).  The n - 1 uniforms come from one
+    rng.random call before any draw, and each group reads its own slice of
+    them, in plan order."""
+    n = _attained(tables)
+    u = rng.random(n - 1)
     out = np.empty(n, dtype=np.int64)
     total = np.array([n - 1], dtype=np.int64)
     ramp = np.arange(2 * n)
+    first = 0  # the uniform of the next group's first segment
     for leaf_at, leaf_out, groups in plan:
         if leaf_at.size:
             out[leaf_out] = total[leaf_at]
         parts = []
         for a, b, sel in groups:
             t = total[sel]
-            j = _draw_group(tables, a, b, t, rng.random(t.size), ramp)
+            j = _draw_group(tables, a, b, t, u[first:first + sel.size], ramp, sel.size)
+            first += sel.size
             parts += [j, t - j]
         if parts:
             total = np.concatenate(parts)
     return out
+
+
+def _bridge_max(tables: dict, plan: list, rng: np.random.Generator) -> int:
+    """max(_bridge(tables, plan, rng)), bit for bit, with the same uniforms
+    taken from rng, drawing only the segments that may hold it.
+
+    A greedy descent draws one segment per level, always into the half of
+    larger total, down to one value: the first lower bound.  Then the levels
+    are walked as _bridge walks them, keeping only the live segments, those
+    whose totals exceed the largest value found so far; a live segment that
+    the descent drew keeps the halves it drew there."""
+    n = _attained(tables)
+    u = rng.random(n - 1)
+    ramp = np.arange(2 * n)
+    # the uniform of each level's first segment
+    firsts = np.cumsum([0] + [sum(sel.size for *_, sel in groups)
+                              for *_, groups in plan]).tolist()
+
+    def split(level: int, at, total, size) -> list:
+        """The halves of the segments of a level at level indices ``at``, of
+        totals ``total`` and sizes ``size``: (indices, totals, sizes) in the
+        next level, per group and side.  The r-th segment of a group takes
+        the uniform at the group's first plus r, and its halves have level
+        indices 2 * (the group's first segment in its level) + r and that
+        plus the group's size."""
+        parts, before = [], 0
+        for a, b, sel in plan[level][2]:
+            mine = np.flatnonzero(size == a + b)
+            if mine.size:
+                r = np.searchsorted(sel, at[mine])
+                t = total[mine]
+                j = _draw_group(tables, a, b, t, u[firsts[level] + before + r],
+                                ramp, sel.size)
+                left = 2 * before + r
+                parts += [(left, j, np.full(r.size, a)),
+                          (left + sel.size, t - j, np.full(r.size, b))]
+            before += sel.size
+        return parts
+
+    at, total, size = root = (np.zeros(1, dtype=np.int64),
+                              np.array([n - 1], dtype=np.int64), np.array([n]))
+    descent = []  # per level: the segment it drew and that segment's halves
+    while size[0] > 1:
+        parts = split(len(descent), at, total, size)
+        descent.append((at[0], parts))
+        left, right = parts
+        at, total, size = left if left[1][0] >= right[1][0] else right
+    best = int(total[0])
+
+    at, total, size = root  # the live segments of the level
+    for level in range(len(plan)):
+        live = total > best
+        if not live.any():
+            break
+        at, total, size = at[live], total[live], size[live]
+        parts = []
+        if level < len(descent):
+            drawn = at == descent[level][0]
+            if drawn.any():
+                parts += descent[level][1]
+                at, total, size = at[~drawn], total[~drawn], size[~drawn]
+        parts += split(level, at, total, size)
+        at, total, size = (np.concatenate(x) for x in zip(*parts))
+        leaf = size == 1
+        if leaf.any():  # values, which then are at most best: never live
+            best = max(best, int(total[leaf].max()))
+    return best
+
+
+def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge):
+    """``draw`` (_bridge or _bridge_max) of n i.i.d. draws from the pmf
+    ``window()`` on [0, n-1] conditioned to sum to n-1, and the tables they
+    came from (``tables[1]`` is the window).  The entry of (key, n) is built
+    from ``window()`` on a miss, so equal keys must give equal windows."""
+    tables, plan = _TABLES.get(
+        (key, n), lambda: (_sum_pmf_tables(window()), _TABLES._shared_plan(n)))
+    return draw(tables, plan, rng), tables

@@ -247,7 +247,7 @@ def _expand_blocks(totals: np.ndarray, mu: np.ndarray, h: np.ndarray,
         r_flat = np.repeat(r, r)
         z_flat = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], r)
         w = mu[z_flat + 1] * h[r_flat - z_flat]
-        z = _draw_in_segments(w, offsets, r, rng.random(active.size)) + 1
+        z = _draw_in_segments(w, offsets, r, rng.random(active.size), active.size) + 1
         who.append(active)
         rank.append(np.full(active.size, k, dtype=np.int64))
         ups.append(z)

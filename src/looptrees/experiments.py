@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from ._bridge import sample_conditioned_steps
+from ._bridge import sample_conditioned_max
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
@@ -92,19 +92,18 @@ def laplace_check(alphas=(1.2, 1.5, 1.8), lams=(0.1, 0.5, 1.0),
                   n_samples: int = 10**6, seed: int = 0) -> dict:
     """Monte-Carlo check of E[exp(-lam X_1)] = exp(lam^alpha)."""
     _check_counts(n_samples=n_samples)
-    rows = []
-    zs = []
-    for k, alpha in enumerate(alphas):
-        rng = stream(seed, k)
-        x = sample_increment(StableParams(alpha), 1.0, size=n_samples, rng=rng)
+
+    def one(k: int) -> list:
+        alpha = alphas[k]
+        x = sample_increment(StableParams(alpha), 1.0, size=n_samples,
+                             rng=stream(seed, k))
+        rows = []
         for lam in lams:
             vals = np.exp(-lam * x)
             est = float(vals.mean())
             se = _stderr(vals)
             target = float(np.exp(lam ** alpha))
             z = None if se is None else abs(est - target) / se
-            if z is not None:
-                zs.append(z)
             rows.append(
                 {
                     "alpha": alpha,
@@ -115,6 +114,10 @@ def laplace_check(alphas=(1.2, 1.5, 1.8), lams=(0.1, 0.5, 1.0),
                     "z": z,
                 }
             )
+        return rows
+
+    rows = [row for chunk in _map_replicates(one, len(alphas)) for row in chunk]
+    zs = [row["z"] for row in rows if row["z"] is not None]
     return {
         "experiment": "laplace-check",
         "n_samples": n_samples,
@@ -137,7 +140,7 @@ def max_jump_experiment(alpha: float = 1.5, n: int = 10**5,
 
     def one(i: int) -> float:
         # the cycle shift only rotates the steps, so it keeps their maximum
-        return float(sample_conditioned_steps(law, n, stream(seed, i)).max() - 1) / b
+        return float(sample_conditioned_max(law, n, stream(seed, i)) - 1) / b
 
     vals = np.array(_map_replicates(one, replicates))
     est = float(vals.mean())
@@ -261,7 +264,12 @@ def interpolation_circle(alpha: float = 1.05, n: int = 10**5,
     b = law.scaling_constant(n)
 
     def one(i: int):
-        tree = sample_conditioned_tree(law, n, stream(seed, i))
+        rng = stream(seed, i)
+        if i >= limit and n > 1:
+            # the tree's largest children count is its steps' largest, as
+            # the cycle shift only rotates them
+            return float(sample_conditioned_max(law, n, rng) - 1) / b, None
+        tree = sample_conditioned_tree(law, n, rng)
         mj = float(tree.children_counts.max() - 1) / b
         gh = circle_gap_bound(tree, b, anchors) if i < limit else None
         return mj, gh

@@ -31,6 +31,7 @@ from looptrees._bridge import (
     _split_plan,
     _sum_pmf_tables,
     cache_info,
+    sample_conditioned_max,
     sample_conditioned_steps,
 )
 from looptrees.dissection import _block_pmf, sample_boltzmann
@@ -281,7 +282,8 @@ def _outcome(draw):
 @example(law=stable_offspring(1.5, "no-unary"), n=_EXACT_CONV_LIMIT + 1,
          blocks=True, seed=2)
 def test_bridge_equals_level_oracle(law, n, blocks, seed):
-    # the same draws bit for bit, and the same uniforms taken from rng
+    # the same draws bit for bit, and the same uniforms taken from rng: the
+    # oracle takes one rng.random call per group, the bridge one per sample
     if blocks and law.forbids_unary:
         window = _block_pmf(law.pmf(np.arange(n + 1)))
     else:
@@ -297,6 +299,44 @@ def test_bridge_equals_level_oracle(law, n, blocks, seed):
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert int(got.sum()) == n - 1
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_laws, n=_sizes, seed=st.integers(0, 2**32 - 1))
+@example(law=OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3]), n=4096, seed=0)
+@example(law=OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3]), n=4097, seed=1)
+def test_maximum_equals_the_full_samples(law, n, seed):
+    # the largest step bit for bit, the same uniforms taken from rng, and
+    # the same ValueError for an unattainable size; a precision error of
+    # the full sample is raised again only if the maximum draws its segment
+    rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _outcome(lambda: sample_conditioned_max(law, n, rng))
+    want = _outcome(lambda: int(sample_conditioned_steps(law, n, full_rng).max()))
+    if isinstance(want, tuple) and want[0] is RuntimeError:
+        assert got == want or type(got) is int
+    else:
+        assert got == want and type(got) is type(want)
+    assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def test_maximum_skips_a_segment_whose_draw_would_fail():
+    # mu on {0, 100, 101} at n = 9901 (attainable): the FFT tables give a
+    # size-2 segment a total that no two values make, so every full sample
+    # below raises the precision error.  At seed 0 the maximum draws that
+    # segment and raises it too; at seed 5 every such segment has a total
+    # of at most 101, which the maximum finds first and so skips them all.
+    law = OffspringLaw.from_probabilities([1 - 2 / 201] + [0] * 99 + [1 / 201] * 2)
+    n = 9901
+    for seed in (0, 5):
+        with pytest.raises(RuntimeError, match="lost too much precision"):
+            sample_conditioned_steps(law, n, np.random.default_rng(seed))
+    with pytest.raises(RuntimeError, match="lost too much precision"):
+        sample_conditioned_max(law, n, np.random.default_rng(0))
+    rng, full_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert sample_conditioned_max(law, n, rng) == 101
+    # both took the sample's n - 1 uniforms before any draw
+    full_rng.random(n - 1)
+    assert rng.bit_generator.state == full_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 100, 4097])
@@ -345,7 +385,8 @@ def test_tiny_segment_behind_many_is_drawn_from_its_own_cdf():
     rng = np.random.default_rng(14)
     draws = 4000
     lengths = np.diff(offsets)
-    last = [_draw_in_segments(w.copy(), offsets, lengths, rng.random(lengths.size))[-1]
+    last = [_draw_in_segments(w.copy(), offsets, lengths, rng.random(lengths.size),
+                                lengths.size)[-1]
             for _ in range(draws)]
     zeros = last.count(0)
     sigma = (0.3 * 0.7 / draws) ** 0.5
@@ -368,7 +409,7 @@ def test_shared_draws_invert_each_segment_within_budget(segments):
     u = rng.random(lengths.size)
     u[::4] = 0.0
     u[1::4] = 1.0 - 2.0**-53
-    j = _draw_in_segments(w.copy(), offsets, lengths, u)
+    j = _draw_in_segments(w.copy(), offsets, lengths, u, lengths.size)
     for i, (o, length) in enumerate(zip(offsets[:-1].tolist(), lengths.tolist())):
         own = w[o:o + length]
         cdf = np.cumsum(own / own.sum())
@@ -378,6 +419,37 @@ def test_shared_draws_invert_each_segment_within_budget(segments):
         assert k == 0 or cdf[k - 1] <= u[i] + 1e-9
 
 
+def test_a_draw_depends_on_its_own_segment_alone():
+    # each segment's draw is the same whichever others of its group are
+    # drawn with it, in all three forms: rows (totals <= _ROW_TOTAL in a
+    # group of at least _ROW_SEGMENTS), alone (totals >= _ALONE_TOTAL) and
+    # the shared sum, whose units the group's size sets.  Half the uniforms
+    # sit on a step of their segment's CDF, where forms and units that are
+    # each within budget still part ways
+    n = 20000
+    tables = _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)))
+    ramp = np.arange(2 * n)
+    rng = np.random.default_rng(3)
+    rows = _row_sizes(n)
+    big = _half_sizes(n)[-5]
+    for m, group in [(rows[0], 4000), (rows[-1], 4000), (rows[0], 600), (big, 600)]:
+        a = (m + 1) // 2
+        t = np.concatenate([rng.integers(1, _ROW_TOTAL + 1, _ROW_SEGMENTS + 200),
+                            rng.integers(_ROW_TOTAL + 1, _ALONE_TOTAL, 200),
+                            rng.integers(_ALONE_TOTAL, n, 2)])
+        rng.shuffle(t)
+        u = rng.random(t.size)
+        for i in range(0, t.size, 2):
+            w = tables[a][:t[i] + 1] * tables[m - a][t[i]::-1]
+            u[i] = min((np.cumsum(w) / w.sum())[rng.integers(t[i])], 1.0 - 2.0**-53)
+        whole = _bridge._draw_group(tables, a, m - a, t, u, ramp, group)
+        assert np.all((whole >= 0) & (whole <= t))
+        for part in (np.arange(0, t.size, 2), np.arange(1, t.size, 7),
+                     *np.arange(0, t.size, 25)[:, None]):
+            got = _bridge._draw_group(tables, a, m - a, t[part], u[part], ramp, group)
+            assert np.array_equal(got, whole[part]), (m, group)
+
+
 def test_largest_uniform_stays_in_a_lone_segment():
     # one segment takes about 2**61 units, where floats are 2**8 apart; u
     # times that count still rounds to less than it
@@ -385,7 +457,7 @@ def test_largest_uniform_stays_in_a_lone_segment():
     for length in rng.integers(600, _ALONE_TOTAL, 40).tolist():
         w = rng.random(length)
         j = _draw_in_segments(w, np.array([0, length]), np.array([length]),
-                              np.array([1.0 - 2.0**-53]))
+                              np.array([1.0 - 2.0**-53]), 1)
         assert j.tolist() == [length - 1]
 
 

@@ -264,6 +264,23 @@ def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypa
     assert not any(tmp_path.iterdir())
 
 
+def test_laplace_check_reads_the_thread_count_before_sampling(tmp_path, capsys,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("laplace-check sampled")
+
+    monkeypatch.setattr("looptrees.experiments.sample_increment", refuse)
+    monkeypatch.setenv("LOOPTREE_THREADS", "abc")
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, "experiment", "laplace-check", "--n", "200")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "LOOPTREE_THREADS" in lines[0]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     (),
     *(("sample", kind) for kind in _KINDS),

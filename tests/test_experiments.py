@@ -169,6 +169,18 @@ def test_max_jump_values_are_the_trees_largest_counts(n):
     assert rep["values"] == [float(t.children_counts.max() - 1) / b for t in trees]
 
 
+def test_circle_max_jumps_do_not_depend_on_gh_paths():
+    # replicates past gh_paths draw only the largest step, which is the
+    # tree's largest children count; a one-vertex tree reads -1 / B_1 as
+    # before, whatever gh_paths is
+    for n in (3000, 1):
+        few, every = (interpolation_circle(n=n, replicates=5, gh_paths=g, seed=4)
+                      for g in (1, 5))
+        assert few["max_jumps"] == every["max_jumps"]
+        assert few["gh_bounds"] == every["gh_bounds"][:1]
+    assert few["max_jumps"] == [-1.0 / stable_offspring(1.05).scaling_constant(1)] * 5
+
+
 def test_default_window_orders():
     lo, hi = default_window(1.5, 10**6)
     assert 0 < lo < hi
