@@ -332,7 +332,10 @@ def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
         # segment gets fewer units
         mass = np.maximum(mass, 2.0**-960)
     w *= (2.0 ** (62 - group.bit_length()) / mass).repeat(lengths)
-    cum = w.cumsum(dtype=np.int64)
+    # cast, then sum in place: the same integers as cumsum(dtype=np.int64),
+    # which is slower on long inputs
+    cum = w.astype(np.int64)
+    cum.cumsum(out=cum)
     edge = cum[offsets - 1]  # the count before each segment, then the total
     edge[0] = 0
     lo = edge[:-1]

@@ -20,7 +20,7 @@ import numpy as np
 from ._bridge import _conditioned, _draw_in_segments
 from .gw_tree import (LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift,
                       _integers)
-from .looptree import LoopGraph, loop_distances
+from .looptree import LoopGraph, _prime_and_corner
 
 __all__ = [
     "Dissection",
@@ -304,21 +304,21 @@ def gh_gap_check(d: Dissection):
 
 
 def _dual_gap(d: Dissection):
-    """gh_gap_check's two results, then the dual tree's height, its walk and
-    its corner matrix: the build_loop distances between the corners of tree
-    vertices 1..n-1, taken from the walk."""
+    """gh_gap_check's two results, then the dual tree's height and the two
+    loop matrices of the dual tree, both from one climb of its walk: the
+    build_loop_prime distances between its vertices, and the build_loop
+    distances between the corners of vertices 1..n-1."""
     counts, regions, depth = _dual_with_regions(d)
-    path = LukasiewiczPath(counts - 1)
-    corner = np.arange(path.n - 1)
-    loop_dist = loop_distances(path, corner[:, None], corner[None, :])
+    prime, corner = _prime_and_corner(LukasiewiczPath(counts - 1))
     poly_dist = d.graph_distances()
     # endpoints in polygon labels, lo ends then hi ends; skip the root (its
-    # region is the root side)
+    # region is the root side).  Both halves pair with the corners in order,
+    # so the gathered block, cut into 2 x 2 tiles, meets the corner matrix
+    # in every tile
     px = (regions[1:] % d.n_sides).T.ravel()
-    gx = np.concatenate([corner, corner])
-    dis = np.abs(
-        poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]
-    ).max()
+    m = corner.shape[0]
+    tiles = poly_dist[np.ix_(px, px)].reshape(2, m, 2, m)
+    dis = np.abs(tiles - corner[:, None, :]).max()
     height = int(depth.max())
     observed = dis / 2.0
-    return observed <= height + 2, float(observed), height, path, loop_dist
+    return observed <= height + 2, float(observed), height, prime, corner

@@ -20,7 +20,7 @@ from ._bridge import sample_conditioned_max
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
-from .looptree import build_loop, loop_distances, loop_prime_distance
+from .looptree import build_loop, loop_distances
 from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
@@ -341,7 +341,8 @@ def interpolation_crt(alpha: float = 1.95, n: int = 10**5,
 def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
                 max_leaves: int = 300, seed: int = 0) -> dict:
     """Height bound for dissections against their dual looptrees, plus the
-    Loop/Loop' corner correspondence on the same trees."""
+    Loop/Loop' corner correspondence on the same trees.  Both loop matrices
+    of a dual tree come from _dual_gap, out of one climb of its walk."""
     _check_counts(n_dissections=n_dissections)
     if max_leaves < 2:
         raise ConfigError("max_leaves",
@@ -352,13 +353,10 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
         rng = stream(seed, i)
         n_leaves = int(rng.integers(2, max_leaves + 1))
         d = sample_boltzmann(law, n_leaves, rng)
-        ok, observed, height, path, dl = _dual_gap(d)
+        ok, observed, height, dp, dl = _dual_gap(d)
         # corner pairing between Loop and Loop': the root goes with the
         # first corner, row 0 of the corner matrix
-        nt = path.n
-        v = np.arange(nt)
-        dp = loop_prime_distance(path, v[:, None], v[None, :])
-        px = np.concatenate([[0], v[:-1]])
+        px = np.concatenate([[0], np.arange(dl.shape[0])])
         dis = int(np.abs(dl[np.ix_(px, px)] - dp).max())
         return {
             "n_leaves": n_leaves,

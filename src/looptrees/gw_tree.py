@@ -400,7 +400,7 @@ def _cycle_shift(steps: np.ndarray) -> np.ndarray:
     """
     partial = np.cumsum(steps)
     m = int(np.argmin(partial))  # first index attaining the minimum
-    return np.roll(steps, -(m + 1))
+    return np.concatenate((steps[m + 1:], steps[:m + 1]))
 
 
 def sample_conditioned_tree(law: OffspringLaw, n: int,

@@ -65,7 +65,8 @@ class LoopGraph:
         return int(self.edges.shape[0])
 
     def adjacency(self) -> csr_matrix:
-        """Symmetric 0/1 adjacency of the simple projection."""
+        """Symmetric 0/1 adjacency of the simple projection, in float64: the
+        dtype scipy's searches work in, so they read it without a copy."""
         if self._adjacency is None:
             v = self.vertex_count
             if self.edges.size:
@@ -76,10 +77,11 @@ class LoopGraph:
                     shape=(v, v),
                 )
                 # built from triplets, the matrix has its duplicates summed;
-                # parallel edges collapse to 1
-                mat.data[:] = 1
+                # its entries become float64 ones only now, so parallel
+                # edges collapse to 1 and no float64 triplets are ever held
+                mat.data = np.ones(mat.data.size)
             else:
-                mat = csr_matrix((v, v), dtype=np.int8)
+                mat = csr_matrix((v, v))
             self._adjacency = mat
         return self._adjacency
 
@@ -251,18 +253,60 @@ def _walk_distance(path: LukasiewiczPath, i, j, convention):
         raise IndexError(f"vertex index out of range [0, {count})")
     lo += n - count  # first, but 0 on a one-vertex tree
     hi += n - count
+    out = _meeting_term(path, _pair_climb(path, lo, hi, convention), convention)
+    out[lo == hi] = 0
+    return out.reshape(a.shape)
+
+
+def _pair_climb(path: LukasiewiczPath, lo: np.ndarray, hi: np.ndarray,
+                convention):
+    """The lockstep climb of tree vertices lo <= hi (flat int64 arrays) in
+    one convention: the gaps summed on the way up, the width between the two
+    branch slots on the meeting cycle, and the meeting vertex.
+
+    Only the slot shift and the extra slots per cycle enter: a vertex's gap
+    is summed only when its parent lies after the stop, which is never
+    before the root, so no gap on the root cycle is summed.  Conventions
+    that share both therefore share one climb.
+    """
+    shift, extra = convention[:2]
+    idx = path._ensure_index()
     parent = idx.parent
     slot = idx.pos + shift
-    cycle = path.steps + extra
-    cycle[0] += root_extra - extra
-    step_up = np.minimum(slot, cycle[parent] - slot)  # gap from slot 0
+    step_up = np.minimum(slot, path.steps[parent] + extra - slot)  # gap from slot 0
     c_hi, sum_hi = _climb(parent, step_up, hi, lo)
     meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
     c_lo, sum_lo = _climb(parent, step_up, lo, meet)
     width = np.abs(slot[c_hi] - np.where(lo == meet, 0, slot[c_lo]))
-    out = sum_lo + sum_hi + np.minimum(width, cycle[meet] - width)
-    out[lo == hi] = 0
-    return out.reshape(a.shape)
+    return sum_lo + sum_hi, width, meet
+
+
+def _meeting_term(path: LukasiewiczPath, climb, convention) -> np.ndarray:
+    """A climb's distances: its sum plus the gap of the two branch slots on
+    the meeting cycle, whose length is the one place where the root extra
+    enters."""
+    total, width, meet = climb
+    extra, root_extra = convention[1:3]
+    cycle = path.steps[meet] + extra
+    cycle[meet == 0] += root_extra - extra
+    return total + np.minimum(width, cycle - width)
+
+
+def _prime_and_corner(path: LukasiewiczPath):
+    """All-pairs distance matrices of build_loop_prime's and build_loop's
+    graphs, from one climb over every pair of tree vertices: the corner
+    graph is the prime graph's [1:, 1:] block with one slot fewer on the
+    root cycle."""
+    n = path.n
+    v = np.arange(n)
+    lo = np.minimum.outer(v, v).ravel()
+    hi = np.maximum.outer(v, v).ravel()
+    climb = _pair_climb(path, lo, hi, _PRIME)
+    prime = _meeting_term(path, climb, _PRIME).reshape(n, n)
+    prime[0, 0] = 0  # the root has no parent to meet at
+    if n == 1:
+        return prime, prime  # the corner graph of a one-vertex tree is its root
+    return prime, _meeting_term(path, climb, _CORNER).reshape(n, n)[1:, 1:]
 
 
 def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,

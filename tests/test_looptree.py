@@ -14,8 +14,10 @@ from looptrees.gw_tree import (
     stable_offspring,
 )
 from looptrees.excursion_metric import looptree_distance, rescale
+from looptrees.dissection import dual_tree, sample_boltzmann
 from looptrees.looptree import (
     LoopGraph,
+    _prime_and_corner,
     build_loop,
     build_loop_prime,
     loop_distances,
@@ -60,6 +62,31 @@ def test_loop_hand_examples():
     assert g.vertex_count == 2 and g.edge_count == 2
     assert g.distances().max() == 1
     assert g.adjacency()[0, 1] == 1  # simple projection keeps multiplicity 1
+
+
+def _assert_simple_adjacency(g: LoopGraph) -> None:
+    a = g.adjacency()
+    assert a.dtype == np.float64 and a.shape == (g.vertex_count,) * 2
+    # one stored 1.0 per ordered pair of distinct neighbours, so parallel
+    # edges collapse and no zero is kept
+    assert np.all(a.data == 1.0)
+    pairs = {(u, v) for u, v in g.edges.tolist()} | \
+        {(v, u) for u, v in g.edges.tolist()}
+    assert a.nnz == len(pairs)
+    rows, cols = a.nonzero()
+    assert set(zip(rows.tolist(), cols.tolist())) == pairs
+    assert (a != a.T).nnz == 0
+
+
+def test_adjacency_is_float64_symmetric_and_simple(small_trees):
+    _assert_simple_adjacency(LoopGraph(3, [[0, 1], [1, 0], [0, 1], [1, 2]],
+                                       np.arange(3)))
+    _assert_simple_adjacency(LoopGraph(2, np.empty((0, 2), dtype=np.int64),
+                                       np.arange(2)))
+    for tree in small_trees:
+        # unary vertices give the double edges
+        _assert_simple_adjacency(build_loop(tree))
+        _assert_simple_adjacency(build_loop_prime(tree))
 
 
 def test_loop_prime_hand_examples():
@@ -214,6 +241,31 @@ def test_walk_distances_equal_bfs_of_their_own_graph_in_both_forms():
                      for i in range(v.size)]
             assert np.array_equal(pairs, want), tree.children_counts.tolist()
             assert distance(path, np.int64(v[-1]), np.int32(0)) == want[-1, 0]
+
+
+def _check_one_climb(tree: PlaneTree) -> None:
+    path = encode_tree(tree)
+    prime, corner = _prime_and_corner(path)
+    want_prime = build_loop_prime(tree).distances()
+    want_corner = build_loop(tree).distances()
+    assert np.array_equal(prime, want_prime), tree.children_counts.tolist()
+    assert np.array_equal(corner, want_corner), tree.children_counts.tolist()
+    v = np.arange(len(want_prime))
+    c = np.arange(len(want_corner))
+    assert np.array_equal(prime, loop_prime_distance(path, v[:, None], v))
+    assert np.array_equal(corner, loop_distances(path, c[:, None], c))
+
+
+def test_one_climb_gives_both_loop_matrices(small_trees, rng_factory):
+    # the small trees and the special ones hold pairs that meet at the root
+    # and roots with one child; the duals of dissections are what the
+    # gh-sandwich check reads
+    for tree in small_trees + _SPECIAL_TREES:
+        _check_one_climb(tree)
+    rng = rng_factory(26)
+    law = stable_offspring(1.5, variant="no-unary")
+    for n_leaves in [2, 3, 80] + rng.integers(4, 80, size=12).tolist():
+        _check_one_climb(dual_tree(sample_boltzmann(law, n_leaves, rng)))
 
 
 def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
