@@ -8,10 +8,37 @@ every conditional total stays <= n-1.  Only the ~2*log2(n) distinct half
 sizes ever appear, so the tables of one (law, n) are small and each sample
 costs O(n log n).
 
+A draw reads a half's table only on [0, t], t its segment's total, and the
+total of a segment of size m stays near m + O(B_n).  So above
+_EXACT_CONV_LIMIT the cached tables of a law with a polynomial tail keep
+only prefixes: the table of half size k, which serves segments of sizes up
+to 2k + 1, keeps W(k) = min(n, 2(2k + 1) + 4 B_n) entries (_kept_width,
+with reach = _SLACK * B_n, B_n the law's scaling_constant(n)).  Laws
+without one and the block pmfs of sample_boltzmann keep all n, as do
+tables[1], both halves of n (which tables[n] reads) and every table at or
+below the limit; the CDF rows are built as before.  _fft_tables builds
+every table at full width, so each transform and each kept float is a full
+build's, and cuts a table to its prefix right after its own transform.
+Over 300 samples per alpha at n = 10**5 (seeds 0..299) the largest
+(t - 2(2k + 1)) / B_n over every table read was 1.29, 2.31 and 1.03 at
+alpha = 1.05, 1.5 and 1.95, so no draw overflowed; it is about the
+sample's largest step over B_n, and conditioning on the total makes large
+steps rare.  At 10**6 one cache entry takes 59 MB at alpha = 1.5 and
+53 MB at 1.95, against 264 MB at full width.
+
+A prefix is a correctness matter, since a slice past it would come out
+short without an error.  Before any read, _draw_group checks its largest
+total against both halves' kept lengths and raises _Overflow past them.
+_conditioned then restores rng's state from before the draw, has the cache
+replace the entry, under its lock, by one built with the reach
+max(2 * reach, t + 1), which covers that total and every total inside its
+segment, and draws again: the same uniforms on the same floats, so the
+same draws.  cache_info() counts these widenings.
+
 The split itself (each level's segment sizes, their grouping by size and
 their order) depends on n alone, and is built as a split plan.  One cache
 entry per (source key, n) holds everything a draw of size n needs: the
-tables and the plan.  _conditioned is the one way in, for the offspring
+tables, the plan and the reach its tables were kept to.  _conditioned is the one way in, for the offspring
 laws of sample_conditioned_steps and sample_conditioned_max (laws with equal
 values share an entry, see OffspringLaw._table_key) and for the block pmfs
 of sample_boltzmann.  Entries of one size share one plan object, and the
@@ -62,6 +89,7 @@ maximum bit for bit and leaves rng in the same state.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 import weakref
@@ -94,6 +122,10 @@ _BLOCK = 256
 # segments at least this long on average form their weights slice by slice;
 # shorter ones gather them through index arrays
 _LONG_SEGMENTS = 128
+# a cached FFT table of a law with a polynomial tail keeps the totals up to
+# twice the sizes of the segments that read it plus _SLACK * B_n (see
+# _kept_width)
+_SLACK = 4.0
 
 _ROW_K = np.arange(_ROW_TOTAL + 1)
 # where row t starts, and the largest float below t + 1, which caps the
@@ -122,7 +154,7 @@ class _TableCache:
         # last entry (or draw in progress) that holds it
         self._plans = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
-        self.hits = self.misses = self.bytes = 0
+        self.hits = self.misses = self.widened = self.bytes = 0
 
     def get(self, key, build):
         """The value under ``key``, from ``build()`` on a miss."""
@@ -133,13 +165,29 @@ class _TableCache:
                 self._entries.move_to_end(key)
                 return entry[0]
             self.misses += 1
-            value = build()
-            size = _nbytes(value)
-            self._entries[key] = (value, size)
-            self.bytes += size
-            while self.bytes > self.limit and len(self._entries) > 1:
-                self.bytes -= self._entries.popitem(last=False)[1][1]
-            return value
+            return self._put(key, build())
+
+    def widen(self, key, seen, build):
+        """The value under ``key`` once a draw from ``seen`` overflowed:
+        ``build()`` in place of ``seen``, or the value that already replaced
+        it, so threads that overflow one entry together widen it once."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is not seen:
+                return entry[0]
+            self.widened += 1
+            return self._put(key, build())
+
+    def _put(self, key, value):
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.bytes -= old[1]
+        size = _nbytes(value)
+        self._entries[key] = (value, size)
+        self.bytes += size
+        while self.bytes > self.limit and len(self._entries) > 1:
+            self.bytes -= self._entries.popitem(last=False)[1][1]
+        return value
 
     def _shared_plan(self, n: int) -> list:
         """The split plan that live entries of size n hold, else a new one; a
@@ -157,13 +205,14 @@ class _TableCache:
     def info(self) -> dict:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "entries": len(self._entries), "bytes": self.bytes}
+                    "widened": self.widened, "entries": len(self._entries),
+                    "bytes": self.bytes}
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._plans.clear()
-            self.hits = self.misses = self.bytes = 0
+            self.hits = self.misses = self.widened = self.bytes = 0
 
 
 _TABLES = _TableCache(_TABLE_CACHE_BYTES)
@@ -180,7 +229,8 @@ def _nbytes(obj) -> int:
 
 
 def cache_info() -> dict:
-    """Hits, misses, entries and bytes of the shared bridge-table cache."""
+    """Hits, misses, widened entries (see _conditioned), entries and bytes
+    of the shared bridge-table cache."""
     return _TABLES.info()
 
 
@@ -210,13 +260,15 @@ def _row_sizes(n: int) -> list:
                    if m >= 2 and count >= _ROW_SEGMENTS})
 
 
-def _sum_pmf_tables(window: np.ndarray) -> dict:
+def _sum_pmf_tables(window: np.ndarray, reach=None) -> dict:
     """pmf of S_m on [0, n-1] for every half size m < n, built by
     convolution from ``window``, the single-draw pmf on [0, n-1].  Of S_n the
     bridge reads only P(S_n = n-1), so ``tables[n]`` holds that one value:
     0.0 when no n draws sum to n-1.  For each segment size m in
     _row_sizes(n), ``tables[("rows", m)]`` and ``tables[("guide", m)]`` hold
-    its CDF rows and their guide (see _cdf_rows)."""
+    its CDF rows and their guide (see _cdf_rows).  Above _EXACT_CONV_LIMIT
+    a ``reach`` other than None keeps only the prefix _kept_width(m, n,
+    reach) of each table m."""
     n = window.size
     tables = {1: window}
     sizes = [m for m in _half_sizes(n)[:-1] if m > 1]
@@ -225,7 +277,7 @@ def _sum_pmf_tables(window: np.ndarray) -> dict:
             a = (m + 1) // 2
             tables[m] = np.convolve(tables[a], tables[m - a])[:n].copy()
     else:
-        _fft_tables(tables, sizes, n)
+        _fft_tables(tables, sizes, n, reach)
     a = (n + 1) // 2
     tables[n] = np.dot(tables[a], tables[n - a][::-1])
     # FFT tables hold float noise where exact zeros belong, so that sum
@@ -239,28 +291,48 @@ def _sum_pmf_tables(window: np.ndarray) -> dict:
     return tables
 
 
-def _fft_tables(tables: dict, sizes: list, n: int) -> None:
+def _kept_width(k: int, n: int, reach) -> int:
+    """W(k), the entries kept of the table of half size k: it serves
+    segments of sizes up to 2k + 1, so min(n, 2(2k + 1) + reach), and all n
+    for a reach of None.  Both halves of n keep all n, which tables[n]
+    reads."""
+    return n if reach is None else min(n, 2 * (2 * k + 1) + reach)
+
+
+def _fft_tables(tables: dict, sizes: list, n: int, reach) -> None:
     """Add to ``tables`` the first n terms of the convolution of the two
     halves of each size in ``sizes`` (ascending), each in an array of its own
     and clipped at 0.  These are the transforms scipy.signal.fftconvolve
     runs, bit for bit, except that each table is transformed once and its
-    spectrum freed after its last use."""
+    spectrum freed after its last use.
+
+    Every table is built at full width, so every transform takes the same
+    input whatever ``reach`` is.  A table m with _kept_width(m, n, reach) <
+    n is then cut to that prefix right after its own transform, the last
+    read of its full width; its kept entries are the same floats."""
     f = next_fast_len(2 * n - 1, True)
     last_use = {}
     for m in sizes:
         a = (m + 1) // 2
         last_use[a] = last_use[m - a] = m
-    # every table is allocated before the first transform, so the kept
-    # tables lie together and the transforms leave no holes between them
+    width = {m: _kept_width(m, n, reach) for m in sizes}
+    # every table that stays full is allocated before the first transform,
+    # so those tables lie together and the transforms leave no holes
+    # between them; allocated one at a time, they raised the peak RSS of a
+    # cold sample at alpha = 1.05 and 10**6 from 421 to 457 MB
     for m in sizes:
-        tables[m] = np.empty(n)
+        if width[m] == n:
+            tables[m] = np.empty(n)
     spectra = {}
     for m in sizes:
         a = (m + 1) // 2
         for k in (a, m - a):
             if k not in spectra:
                 spectra[k] = rfft(tables[k], f)
-        np.clip(irfft(spectra[a] * spectra[m - a], f)[:n], 0.0, None, out=tables[m])
+                if width.get(k, n) < n:
+                    tables[k] = tables[k][:width[k]].copy()
+        tables[m] = np.clip(irfft(spectra[a] * spectra[m - a], f)[:n], 0.0, None,
+                            out=tables.get(m))
         for k in (a, m - a):
             if last_use[k] == m:
                 spectra.pop(k, None)
@@ -310,7 +382,13 @@ def _law_sample(law, n: int, rng: np.random.Generator, draw):
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
-    return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng, draw)[0]
+    # a law with a polynomial tail keeps table prefixes; a reach of at least
+    # _ROW_TOTAL + 1 keeps every entry that the CDF rows read
+    reach = None
+    if law.tail_constant is not None:
+        reach = max(math.ceil(_SLACK * law.scaling_constant(n)), _ROW_TOTAL + 1)
+    return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng,
+                        draw, reach)[0]
 
 
 def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
@@ -384,12 +462,21 @@ def _draw_alone(pa: np.ndarray, pb: np.ndarray, t: int, u: float,
     return k * _BLOCK + int(np.searchsorted(inner, min(target, float(inner[-1]))))
 
 
+class _Overflow(Exception):
+    """A segment's total, args[0], reaches past a kept table prefix."""
+
+
 def _draw_group(tables: dict, a: int, b: int, t: np.ndarray, u: np.ndarray,
                 ramp: np.ndarray, group: int) -> np.ndarray:
     """The left-half totals of segments of size a + b with totals t, drawn
     at the uniforms u.  ``group``, the number of segments in their group of
     the plan, sets the forms and the units, so each segment draws the same
-    whichever others of its group come with it."""
+    whichever others of its group come with it.  Raises _Overflow when a
+    total reaches past a half's kept prefix, where a slice would silently
+    come out short."""
+    top = int(t.max())
+    if top >= min(tables[a].size, tables[b].size):
+        raise _Overflow(top)
     if group >= _ROW_SEGMENTS:
         # the tables hold rows for every size that a level holds this often
         small = t <= _ROW_TOTAL
@@ -588,11 +675,27 @@ def _bridge_max(tables: dict, plan: list, rng: np.random.Generator) -> int:
     return best
 
 
-def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge):
+def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
+                 reach=None):
     """``draw`` (_bridge or _bridge_max) of n i.i.d. draws from the pmf
     ``window()`` on [0, n-1] conditioned to sum to n-1, and the tables they
     came from (``tables[1]`` is the window).  The entry of (key, n) is built
-    from ``window()`` on a miss, so equal keys must give equal windows."""
-    tables, plan = _TABLES.get(
-        (key, n), lambda: (_sum_pmf_tables(window()), _TABLES._shared_plan(n)))
-    return draw(tables, plan, rng), tables
+    from ``window()`` on a miss, so equal keys must give equal windows, and
+    keeps the table prefixes that ``reach`` sets (see _kept_width).
+
+    A draw whose total overflows a prefix starts again from rng's state
+    before it, on the entry rebuilt with the reach doubled and past that
+    total, which covers it and every total inside its segment."""
+    def build(reach):
+        return _sum_pmf_tables(window(), reach), _TABLES._shared_plan(n), reach
+
+    entry = _TABLES.get((key, n), lambda: build(reach))
+    state = rng.bit_generator.state
+    while True:
+        tables, plan, reach = entry
+        try:
+            return draw(tables, plan, rng), tables
+        except _Overflow as over:
+            rng.bit_generator.state = state
+            wider = max(2 * reach, over.args[0] + 1)
+            entry = _TABLES.widen((key, n), entry, lambda: build(wider))

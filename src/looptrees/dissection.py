@@ -19,7 +19,7 @@ import numpy as np
 
 from ._bridge import _conditioned, _draw_in_segments
 from .gw_tree import (LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift,
-                      _integers)
+                      _integers, _TreeIndex)
 from .looptree import LoopGraph, _prime_and_corner
 
 __all__ = [
@@ -148,8 +148,8 @@ def _check_crossings(chords: np.ndarray) -> None:
 
 def _dual_with_regions(d: Dissection):
     """Children counts of the dual tree, each vertex's region as a row
-    (lo, hi) of walk coordinates, and each vertex's depth, in depth-first
-    order.
+    (lo, hi) of walk coordinates, each vertex's depth and each vertex's
+    parent (-1 at the root), in depth-first order.
 
     The regions are the root side (1, n), the other sides and the chords.
     They nest, so depth-first order sorts them by lo, the longer first.
@@ -167,9 +167,11 @@ def _dual_with_regions(d: Dissection):
     depth = t - np.searchsorted(np.sort(hi), lo, side="right")
     # the parent of t is the latest earlier region one level up
     keys = np.sort(depth * m + t)
-    parent = keys[np.searchsorted(keys, (depth[1:] - 1) * m + t[1:]) - 1] % m
-    counts = np.bincount(parent, minlength=m)
-    return counts, np.column_stack([lo, hi]), depth
+    parent = np.empty(m, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = keys[np.searchsorted(keys, (depth[1:] - 1) * m + t[1:]) - 1] % m
+    counts = np.bincount(parent[1:], minlength=m)
+    return counts, np.column_stack([lo, hi]), depth, parent
 
 
 def dual_tree(d: Dissection) -> PlaneTree:
@@ -308,8 +310,10 @@ def _dual_gap(d: Dissection):
     loop matrices of the dual tree, both from one climb of its walk: the
     build_loop_prime distances between its vertices, and the build_loop
     distances between the corners of vertices 1..n-1."""
-    counts, regions, depth = _dual_with_regions(d)
-    prime, corner = _prime_and_corner(LukasiewiczPath(counts - 1))
+    counts, regions, depth, parent = _dual_with_regions(d)
+    path = LukasiewiczPath(counts - 1)
+    path._index = _TreeIndex(path.steps, path.values, parent)  # no second sort
+    prime, corner = _prime_and_corner(path)
     poly_dist = d.graph_distances()
     # endpoints in polygon labels, lo ends then hi ends; skip the root (its
     # region is the root side).  Both halves pair with the corners in order,

@@ -324,19 +324,22 @@ class _TreeIndex:
 
     __slots__ = ("parent", "_values", "_depth", "_pos", "_end")
 
-    def __init__(self, steps: np.ndarray, values: np.ndarray):
-        n = steps.size
-        parent = np.arange(-1, n - 1)
-        fill = np.flatnonzero(steps[:-1] < 0) + 1
-        if fill.size:
-            up = np.flatnonzero(steps > 0)
-            width = steps[up]
-            opener = np.repeat(up, width)
-            # vertex j opens the levels W_j .. W_{j+1} - 1
-            level = np.repeat(values[up] - (np.cumsum(width) - width), width)
-            level += np.arange(opener.size)
-            parent[fill[np.argsort(values[fill] * n + fill)]] = \
-                opener[np.argsort(level * n + opener)]
+    def __init__(self, steps: np.ndarray, values: np.ndarray, parent=None):
+        """``parent``, when a caller has found it already, is taken as it
+        is."""
+        if parent is None:
+            n = steps.size
+            parent = np.arange(-1, n - 1)
+            fill = np.flatnonzero(steps[:-1] < 0) + 1
+            if fill.size:
+                up = np.flatnonzero(steps > 0)
+                width = steps[up]
+                opener = np.repeat(up, width)
+                # vertex j opens the levels W_j .. W_{j+1} - 1
+                level = np.repeat(values[up] - (np.cumsum(width) - width), width)
+                level += np.arange(opener.size)
+                parent[fill[np.argsort(values[fill] * n + fill)]] = \
+                    opener[np.argsort(level * n + opener)]
         self.parent = parent
         self._values = values
         self._depth = None

@@ -3,6 +3,7 @@ convolution and its attainability check."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -135,9 +136,9 @@ def test_tables_that_fill_the_cache_keep_their_plan(fresh_cache, monkeypatch):
     monkeypatch.setattr(_bridge._TABLES, "limit", 2**20)
     builds = []
 
-    def counting(window):
+    def counting(window, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window)
+        return _sum_pmf_tables(window, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     sample_conditioned_steps(stable_offspring(1.2), 300, np.random.default_rng(0))
@@ -161,9 +162,9 @@ def test_boltzmann_builds_block_tables_once_per_law_values_and_size(fresh_cache,
         blocks.append(mu.size - 1)
         return _block_pmf(mu)
 
-    def counting_tables(window):
+    def counting_tables(window, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window)
+        return _sum_pmf_tables(window, reach)
 
     monkeypatch.setattr(dissection, "_block_pmf", counting_blocks)
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting_tables)
@@ -186,7 +187,8 @@ def test_eviction_drops_least_recently_used_bytes_first():
     cache.get("a", _refuse)  # a is now the most recent
     cache.get("d", _entry(100))
     assert list(cache._entries) == ["c", "a", "d"]
-    assert cache.info() == {"hits": 1, "misses": 4, "entries": 3, "bytes": 2400}
+    assert cache.info() == {"hits": 1, "misses": 4, "widened": 0, "entries": 3,
+                            "bytes": 2400}
     cache.get("e", _entry(200))  # 1600 bytes push out c and then a
     assert list(cache._entries) == ["d", "e"]
     assert cache.info()["bytes"] == 2400
@@ -205,9 +207,9 @@ def test_oversized_newest_entry_is_kept():
 def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
     builds = []
 
-    def counting(window):
+    def counting(window, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window)
+        return _sum_pmf_tables(window, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     law = stable_offspring(1.5)
@@ -553,6 +555,125 @@ def test_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---- kept table prefixes above the exact-convolution limit ----
+
+def _full_width(law, n: int):
+    """The tables of (law, n) at full width and the split plan of n."""
+    return _sum_pmf_tables(law.pmf(np.arange(n))), _split_plan(n)
+
+
+def _same_as_full_width(law, n: int, seed: int, full) -> None:
+    # the cached (cropped) entry against full-width tables: the same values
+    # or the same error, and the same uniforms taken from rng
+    for sample, oracle in ((sample_conditioned_steps, _bridge._bridge),
+                           (sample_conditioned_max, _bridge._bridge_max)):
+        rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _outcome(lambda: sample(law, n, rng))
+        want = _outcome(lambda: oracle(*full, full_rng))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [_EXACT_CONV_LIMIT + 1, 30001])
+@pytest.mark.parametrize("law", [stable_offspring(1.05), stable_offspring(1.5),
+                                 stable_offspring(1.95, "no-unary")], ids=repr)
+def test_kept_prefixes_draw_as_full_tables_do(fresh_cache, law, n):
+    full = _full_width(law, n)
+    for seed in range(4):
+        _same_as_full_width(law, n, seed, full)
+    assert cache_info()["widened"] == 0
+
+
+def test_lattice_law_draws_as_full_tables_do(fresh_cache):
+    # a law without a tail constant keeps full windows; 4097 and 5000 are
+    # unattainable for the support {0, 3}, 5002 is not
+    law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
+    for n in (_EXACT_CONV_LIMIT + 1, 5000, 5002):
+        full = _full_width(law, n)
+        _same_as_full_width(law, n, 0, full)
+        tables = _bridge._TABLES._entries[(law._table_key, n)][0][0]
+        assert all(tables[m].size == n for m in _bridge._half_sizes(n)[:-1])
+
+
+def test_kept_prefixes_are_full_width_prefixes(fresh_cache):
+    law, n = stable_offspring(1.5), 30001
+    full = _sum_pmf_tables(law.pmf(np.arange(n)))
+    sample_conditioned_steps(law, n, np.random.default_rng(0))
+    (tables, plan, reach), size = _bridge._TABLES._entries[(law._table_key, n)]
+    assert reach == math.ceil(_bridge._SLACK * law.scaling_constant(n))
+    assert tables.keys() == full.keys()
+    for key, table in tables.items():
+        width = _bridge._kept_width(key, n, reach) if key in range(2, n) else None
+        want = full[key] if width is None else full[key][:width]
+        assert np.array_equal(table, want), key
+    assert tables[(n + 1) // 2].size == tables[n // 2].size == n
+    assert tables[2].size < n
+    # cache_info counts the kept bytes: 0.36 of a full build's here, since
+    # tables[1], both halves of n and the tables of the next level keep all n
+    assert cache_info()["bytes"] == size == _nbytes(tables) + _nbytes(plan)
+    assert _nbytes(tables) <= 0.4 * _nbytes(full)
+
+
+def test_overflow_widens_the_entry_once_and_draws_the_same(fresh_cache, monkeypatch):
+    # with no slack a segment's total overflows a prefix; the draw starts
+    # again from rng's state on an entry widened past that total
+    monkeypatch.setattr(_bridge, "_SLACK", 0.0)
+    law, n = stable_offspring(1.5), 30001
+    full = _full_width(law, n)
+    for seed in range(3):
+        _bridge._TABLES.clear()
+        _same_as_full_width(law, n, seed, full)
+        info = cache_info()
+        assert (info["misses"], info["widened"]) == (1, 1)
+        (tables, plan, reach), size = _bridge._TABLES._entries[(law._table_key, n)]
+        assert info["bytes"] == size == _nbytes(tables) + _nbytes(plan)
+        assert _bridge._ROW_TOTAL + 1 < reach < n
+        # the widened entry replaced the narrow one: drawing again widens nothing
+        _same_as_full_width(law, n, seed, full)
+        assert cache_info()["widened"] == 1
+
+
+def test_threads_that_overflow_one_entry_widen_it_once(fresh_cache, monkeypatch):
+    monkeypatch.setattr(_bridge, "_SLACK", 0.0)
+    builds = []
+
+    def counting(window, reach=None):
+        builds.append(reach)
+        return _sum_pmf_tables(window, reach)
+
+    monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
+    workers = 2
+    barrier = threading.Barrier(workers, timeout=60)
+    widen = _bridge._TABLES.widen
+
+    def widen_together(*args):
+        barrier.wait()  # both draws overflowed the narrow entry
+        return widen(*args)
+
+    monkeypatch.setattr(_bridge._TABLES, "widen", widen_together)
+    law, n = stable_offspring(1.5), 30001
+    out = [None] * workers
+
+    def draw(i):
+        out[i] = sample_conditioned_steps(law, n, np.random.default_rng(0))
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 2 and builds[0] < builds[1]
+    info = cache_info()
+    assert (info["hits"], info["misses"], info["widened"]) == (1, 1, 1)
+    full = _full_width(law, n)
+    want = _bridge._bridge(*full, np.random.default_rng(0))
+    assert all(np.array_equal(x, want) for x in out)
 
 
 # ---- attainability above the exact-convolution limit ----

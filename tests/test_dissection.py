@@ -22,6 +22,7 @@ from looptrees.dissection import (
     sample_boltzmann,
 )
 from looptrees.gw_tree import (
+    LukasiewiczPath,
     OffspringLaw,
     PlaneTree,
     stable_offspring,
@@ -165,9 +166,12 @@ dissections = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(d=dissections)
 def test_dual_with_regions_matches_chord_walk_oracle(d):
-    counts, regions, depth = _dual_with_regions(d)
+    counts, regions, depth, parent = _dual_with_regions(d)
     want_counts, want_regions = dual_by_chord_walk(d)
     assert np.array_equal(counts, want_counts)
+    # the parents _dual_gap hands to the walk's genealogy in place of its own
+    want_parent = LukasiewiczPath(counts - 1)._ensure_index().parent
+    assert parent.dtype == want_parent.dtype and np.array_equal(parent, want_parent)
     assert regions.tolist() == [list(r) for r in want_regions]
     assert depth.max() == tree_stats(dual_tree(d)).height
 

@@ -105,9 +105,9 @@ def test_cold_two_worker_run_builds_its_tables_once(monkeypatch):
     # workers that miss the cache together wait for one build
     builds = []
 
-    def counting(window):
+    def counting(window, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window)
+        return _sum_pmf_tables(window, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     monkeypatch.setenv("LOOPTREE_THREADS", "2")
