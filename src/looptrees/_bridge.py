@@ -690,7 +690,8 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
         return _sum_pmf_tables(window(), reach), _TABLES._shared_plan(n), reach
 
     entry = _TABLES.get((key, n), lambda: build(reach))
-    state = rng.bit_generator.state
+    # only kept prefixes can overflow; full tables never need the snapshot
+    state = None if entry[2] is None else rng.bit_generator.state
     while True:
         tables, plan, reach = entry
         try:

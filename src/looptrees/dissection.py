@@ -16,11 +16,13 @@ import math
 import operator
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ._bridge import _conditioned, _draw_in_segments
 from .gw_tree import (LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift,
-                      _integers, _TreeIndex)
-from .looptree import LoopGraph, _prime_and_corner
+                      _integers, _json_fields, _TreeIndex)
+from .looptree import _prime_and_corner
 
 __all__ = [
     "Dissection",
@@ -32,7 +34,9 @@ __all__ = [
 
 
 class Dissection:
-    """Non-crossing chord set of a convex polygon; the sides are implicit."""
+    """Non-crossing chord set of a convex polygon; the sides are implicit.
+    ``chords`` holds one int64 row (lo, hi), lo < hi, per chord, in
+    lexicographic order."""
 
     __slots__ = ("n_sides", "chords")
 
@@ -84,15 +88,34 @@ class Dissection:
 
     @classmethod
     def from_json(cls, text: str) -> "Dissection":
-        data = json.loads(text)
-        return cls(data["n_sides"], data["chords"])
+        return cls(*_json_fields(text, "dissection", n_sides=int, chords=list))
+
+    @classmethod
+    def _unchecked(cls, n_sides: int, chords: np.ndarray) -> "Dissection":
+        """A dissection of chords already normalised to (lo, hi), lexsorted
+        and non-crossing, as from_dual's sweep builds them."""
+        d = cls.__new__(cls)
+        d.n_sides = n_sides
+        d.chords = chords
+        return d
 
     def graph_distances(self) -> np.ndarray:
-        """All-pairs BFS distances of the polygon-plus-chords graph."""
+        """All-pairs BFS distances of the polygon-plus-chords graph.
+
+        The graph is simple (no chord repeats a side or a chord), so its CSR
+        adjacency is written directly: vertex i's neighbours are i - 1,
+        i + 1 (mod n) and its chords' other ends.  int32 indices are the
+        ones scipy's searches read without a copy."""
         n = self.n_sides
-        k = np.arange(n)
-        edges = np.concatenate([np.column_stack([k, (k + 1) % n]), self.chords])
-        return LoopGraph(n, edges, k).distances()
+        k = np.arange(n, dtype=np.int32)
+        a, b = self.chords[:, 0], self.chords[:, 1]
+        src = np.concatenate((k, k, a, b), dtype=np.int32)
+        dst = np.concatenate((k[-1:], k[:-1], k[1:], k[:1], b, a), dtype=np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        adj = csr_matrix((np.ones(src.size), dst[np.argsort(src, kind="stable")],
+                          indptr), shape=(n, n))
+        return dijkstra(adj, unweighted=True).astype(np.int64)
 
     def to_svg(self, size: int = 400, header_lines=()) -> str:
         """Unit-disk drawing: polygon outline plus chords."""
@@ -209,7 +232,10 @@ def from_dual(tree: PlaneTree) -> Dissection:
     if leaf_rank < 2:
         raise ValueError("the dual construction needs at least 2 leaves")
     n = leaf_rank + 1
-    return Dissection(n, [(a % n, b % n) for a, b in chords])
+    # a chord that ends at walk coordinate n ends at polygon vertex 0; the
+    # chords come out nested and distinct, so none needs checking again
+    chords = sorted((0, a) if b == n else (a, b) for a, b in chords)
+    return Dissection._unchecked(n, np.array(chords, dtype=np.int64).reshape(-1, 2))
 
 
 def _block_pmf(mu: np.ndarray) -> np.ndarray:
@@ -318,11 +344,12 @@ def _dual_gap(d: Dissection):
     # endpoints in polygon labels, lo ends then hi ends; skip the root (its
     # region is the root side).  Both halves pair with the corners in order,
     # so the gathered block, cut into 2 x 2 tiles, meets the corner matrix
-    # in every tile
+    # in every tile.  The distances are far below 2**31, and in int32 the
+    # block passes take half the time they take in int64
     px = (regions[1:] % d.n_sides).T.ravel()
     m = corner.shape[0]
-    tiles = poly_dist[np.ix_(px, px)].reshape(2, m, 2, m)
-    dis = np.abs(tiles - corner[:, None, :]).max()
+    tiles = poly_dist.astype(np.int32)[px][:, px].reshape(2, m, 2, m)
+    dis = np.abs(tiles - corner.astype(np.int32)[:, None, :]).max()
     height = int(depth.max())
     observed = dis / 2.0
     return observed <= height + 2, float(observed), height, prime, corner

@@ -357,7 +357,7 @@ def gh_sandwich(alpha: float = 1.5, n_dissections: int = 200,
         # corner pairing between Loop and Loop': the root goes with the
         # first corner, row 0 of the corner matrix
         px = np.concatenate([[0], np.arange(dl.shape[0])])
-        dis = int(np.abs(dl[np.ix_(px, px)] - dp).max())
+        dis = int(np.abs(dl[px][:, px] - dp).max())
         return {
             "n_leaves": n_leaves,
             "height": height,

@@ -209,6 +209,29 @@ def _integers(values, what: str) -> np.ndarray:
     raise ValueError(f"{what} must be integers, got {arr.ravel()[:1].tolist()[0]!r}")
 
 
+_JSON_TYPES = {int: "an integer", list: "an array"}
+
+
+def _json_fields(text: str, what: str, **types) -> list:
+    """The values of the keys of a JSON object, in the order of ``types``,
+    which maps each key to the Python type its value must have; raises a
+    one-line ValueError naming a missing or ill-typed key."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(data).__name__}")
+    values = []
+    for key, kind in types.items():
+        if key not in data:
+            raise ValueError(f"the {what} JSON has no key {key!r}")
+        value = data[key]
+        # JSON true and false load as bools, which are ints to Python
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"the {what} JSON key {key!r} must be "
+                             f"{_JSON_TYPES[kind]}, got {type(value).__name__}")
+        values.append(value)
+    return values
+
+
 class PlaneTree:
     """Rooted plane tree given by DFS-ordered children counts.
 
@@ -249,8 +272,7 @@ class PlaneTree:
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneTree":
-        data = json.loads(text)
-        return cls(data["children_counts"])
+        return cls(*_json_fields(text, "tree", children_counts=list))
 
 
 class LukasiewiczPath:
@@ -302,8 +324,7 @@ class LukasiewiczPath:
 
     @classmethod
     def from_json(cls, text: str) -> "LukasiewiczPath":
-        data = json.loads(text)
-        return cls(data["steps"])
+        return cls(*_json_fields(text, "path", steps=list))
 
 
 class _TreeIndex:

@@ -1,6 +1,7 @@
 """Shared fixtures: exhaustive tree enumerations used across test modules,
 the i.i.d. offspring sampler that the rejection oracles draw from, the
-chord-walk oracle for the dual tree of a dissection, the level-by-level
+chord-walk oracle for the dual tree of a dissection, the generic loop-graph
+oracle for its polygon distances, the level-by-level
 oracle for the bridge and the search oracle for its split sizes, the Gromov-Hausdorff bound of an explicit
 correspondence between distance matrices, and the float stack genealogy and
 float climb of a jump path."""
@@ -16,6 +17,7 @@ import pytest
 
 from looptrees.dissection import Dissection
 from looptrees.gw_tree import OffspringLaw, PlaneTree
+from looptrees.looptree import LoopGraph
 
 # atoms the oracle tabulates for inverse-transform sampling; a draw beyond
 # them inverts the law's analytic tail
@@ -72,6 +74,15 @@ def walk_adjacency(d: Dissection):
     for v in range(1, n + 1):
         nbr[v].sort()
     return nbr
+
+
+def polygon_by_loop_graph(d: Dissection) -> np.ndarray:
+    """Oracle for Dissection.graph_distances: BFS on the generic LoopGraph
+    of the polygon's sides and chords."""
+    n = d.n_sides
+    k = np.arange(n)
+    sides = np.column_stack([k, (k + 1) % n])
+    return LoopGraph(n, np.concatenate([sides, d.chords]), k).distances()
 
 
 def dual_by_chord_walk(d: Dissection):

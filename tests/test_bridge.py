@@ -638,6 +638,29 @@ def test_overflow_widens_the_entry_once_and_draws_the_same(fresh_cache, monkeypa
         assert cache_info()["widened"] == 1
 
 
+class _NoSnapshot:
+    """A generator that draws uniforms but refuses to show its state."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+    @property
+    def bit_generator(self):
+        raise AssertionError("a draw from full tables read the rng state")
+
+
+def test_full_tables_draw_without_an_rng_snapshot(fresh_cache):
+    # the block tables keep full windows, so no draw from them can overflow
+    law = stable_offspring(1.5, "no-unary")
+    for n in (3, 80, _EXACT_CONV_LIMIT + 1):
+        for seed in range(2):
+            got = sample_boltzmann(law, n, _NoSnapshot(np.random.default_rng(seed)))
+            assert got == sample_boltzmann(law, n, np.random.default_rng(seed))
+
+
 def test_threads_that_overflow_one_entry_widen_it_once(fresh_cache, monkeypatch):
     monkeypatch.setattr(_bridge, "_SLACK", 0.0)
     builds = []

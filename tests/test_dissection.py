@@ -21,6 +21,7 @@ from looptrees.dissection import (
     gh_gap_check,
     sample_boltzmann,
 )
+from looptrees.experiments import stream
 from looptrees.gw_tree import (
     LukasiewiczPath,
     OffspringLaw,
@@ -29,7 +30,8 @@ from looptrees.gw_tree import (
     tree_stats,
 )
 
-from conftest import dual_by_chord_walk, sample_offspring
+from conftest import (dual_by_chord_walk, enumerate_no_unary_trees,
+                      polygon_by_loop_graph, sample_offspring)
 
 
 @pytest.mark.parametrize("bad,word", [
@@ -204,12 +206,64 @@ def test_edge_count_euler_relation(no_unary_by_leaves):
         assert d.chord_count == internal - 1
 
 
+@pytest.mark.parametrize("cls,text,word", [
+    (Dissection, '{"n_sides": 5}', "no key 'chords'"),
+    (Dissection, '{"chords": []}', "no key 'n_sides'"),
+    (Dissection, '[1, 2]', "JSON object, got list"),
+    (Dissection, '{"n_sides": "5", "chords": []}', "'n_sides' must be an integer, got str"),
+    (Dissection, '{"n_sides": true, "chords": []}', "'n_sides' must be an integer, got bool"),
+    (Dissection, '{"n_sides": 5, "chords": 3}', "'chords' must be an array, got int"),
+    (PlaneTree, '{"steps": [0, -1]}', "no key 'children_counts'"),
+    (PlaneTree, '{"children_counts": null}', "'children_counts' must be an array, got NoneType"),
+    (PlaneTree, '"tree"', "JSON object, got str"),
+    (LukasiewiczPath, '{}', "no key 'steps'"),
+    (LukasiewiczPath, '{"steps": {"0": -1}}', "'steps' must be an array, got dict"),
+    (LukasiewiczPath, '[[-1]]', "JSON object, got list"),
+])
+def test_from_json_names_the_missing_or_ill_typed_key(cls, text, word):
+    with pytest.raises(ValueError) as info:
+        cls.from_json(text)
+    message = str(info.value)
+    assert word in message and "\n" not in message
+
+
 def test_json_and_svg_round_trip(no_unary_by_leaves):
     d = from_dual(no_unary_by_leaves[6][17])
     assert Dissection.from_json(d.to_json()) == d
     svg = Dissection(4, [(1, 3)]).to_svg(header_lines=["check"])
     assert svg.startswith("<!-- check -->")
     assert "<line" in svg and "<svg" in svg
+
+
+@pytest.fixture(scope="module")
+def small_and_drawn() -> list:
+    """The duals of every dissection with 3-9 sides, then 300 Boltzmann
+    draws with 2-300 leaves at three alpha, each as (tree or None, d)."""
+    out = [(t, from_dual(t))
+           for trees in enumerate_no_unary_trees(8).values() for t in trees]
+    assert len(out) == sum([1, 3, 11, 45, 197, 903, 4279])
+    for i in range(300):
+        rng = stream(22, i)
+        law = stable_offspring((1.1, 1.5, 1.9)[i % 3], "no-unary")
+        out.append((None, sample_boltzmann(law, int(rng.integers(2, 301)), rng)))
+    return out
+
+
+def test_polygon_distances_match_the_generic_loop_graph(small_and_drawn):
+    for _, d in small_and_drawn:
+        want = polygon_by_loop_graph(d)
+        got = d.graph_distances()
+        assert got.dtype == want.dtype and np.array_equal(got, want), d
+
+
+def test_from_dual_equals_the_checking_constructor(small_and_drawn):
+    for tree, d in small_and_drawn:
+        checked = Dissection(d.n_sides, d.chords)
+        assert d == checked
+        assert d.chords.dtype == checked.chords.dtype
+        assert d.chords.shape == checked.chords.shape
+        if tree is not None:
+            assert dual_tree(d) == tree
 
 
 def test_graph_distances_square():

@@ -32,7 +32,7 @@ from looptrees.gw_tree import (
 )
 from looptrees.looptree import build_loop, build_loop_prime
 
-from conftest import dual_by_chord_walk
+from conftest import dual_by_chord_walk, polygon_by_loop_graph
 
 
 def bfs_circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
@@ -65,7 +65,7 @@ def bfs_sandwich_row(d) -> dict:
     glue = np.arange(1, tree.size, dtype=np.int64) - 1
     px = np.concatenate([ends[:, 0], ends[:, 1]])
     gx = np.concatenate([glue, glue])
-    poly_dist = d.graph_distances()
+    poly_dist = polygon_by_loop_graph(d)
     dis = np.abs(poly_dist[np.ix_(px, px)] - loop_dist[np.ix_(gx, gx)]).max()
     observed = dis / 2.0
     height = tree_stats(tree).height
