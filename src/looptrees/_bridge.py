@@ -38,12 +38,18 @@ same draws.  cache_info() counts these widenings.
 The split itself (each level's segment sizes, their grouping by size and
 their order) depends on n alone, and is built as a split plan.  One cache
 entry per (source key, n) holds everything a draw of size n needs: the
-tables, the plan and the reach its tables were kept to.  _conditioned is the one way in, for the offspring
-laws of sample_conditioned_steps and sample_conditioned_max (laws with equal
-values share an entry, see OffspringLaw._table_key) and for the block pmfs
-of sample_boltzmann.  Entries of one size share one plan object, and the
-cache holds at most _TABLE_CACHE_BYTES, least recently used out first.  A
-warm sample only computes the segment totals and draws.
+tables, the plan and the reach its tables were kept to.  _conditioned is
+the one way in, for the offspring laws of sample_conditioned_steps and
+sample_conditioned_max (laws with equal values share an entry, see
+OffspringLaw._table_key) and for the block pmfs of sample_boltzmann.
+Entries of one size share one plan object.  An entry is admitted only when
+its key is reused: a fresh build stays only until the next build, unless a
+hit admits it, and a key built before is admitted at once (see
+_TableCache).  So a size drawn once, as most sizes of a sweep over n are,
+leaves nothing behind but its key.  The admitted entries hold at most
+_TABLE_CACHE_BYTES, least recently used out first.  What a draw reads does
+not depend on any of this.  A warm sample only computes the segment totals
+and draws.
 
 A sample takes its n - 1 uniforms, one per segment of size >= 2, in one call
 rng.random(n - 1), before any draw: level by level, group by group within a
@@ -103,8 +109,10 @@ __all__ = ["sample_conditioned_max", "sample_conditioned_steps"]
 # below this the quadratic convolution is cheap and exact to the last bit,
 # which the small-size distribution tests rely on
 _EXACT_CONV_LIMIT = 4096
-# bytes of bridge tables and split plans kept across calls (see _TableCache)
+# bytes of admitted bridge tables and split plans kept across calls, and the
+# number of built keys remembered for admission (see _TableCache)
 _TABLE_CACHE_BYTES = 128 * 2**20
+_BUILT_KEYS = 4096
 # the segments of totals <= _ROW_TOTAL in a group of at least _ROW_SEGMENTS
 # segments draw from CDF rows; the tables hold rows for every segment size
 # that some level of the split holds that often, so n < 2 * _ROW_SEGMENTS
@@ -142,19 +150,39 @@ class _TableCache:
     tables built from the source's window and the split plan of n.  Entries
     of one size share one plan object, and each counts the plan's bytes as
     its own, so a shared plan is counted once per entry that holds it and
-    the cache errs toward evicting early.  While the entries hold more than
-    ``limit`` bytes the least recently used goes, but the newest stays even
-    when it alone is larger, so any n still samples.  A miss builds under
-    the lock, so threads that miss together build once."""
+    the cache errs toward evicting early.  A miss builds under the lock, so
+    threads that miss together build once.
 
-    def __init__(self, limit: int):
+    An entry is admitted only once its key has been reused, as the
+    doorkeeper of TinyLFU (Einziger, Friedman and Manes, ACM TOS 2017)
+    admits: most sizes are drawn once, and a reused key costs at most one
+    extra build.  A fresh build starts out provisional, and stays only while
+    it is the newest build: the next build drops it unread.  A hit admits
+    it, and a key that the cache remembers building is admitted at once.
+    The cache remembers the last ``remember`` keys it built, keys only.
+
+    While the admitted entries hold more than ``limit`` bytes the least
+    recently used goes, but the most recent stays even when it alone is
+    larger, so any n still samples; the provisional entry does not count
+    toward ``limit``, so one-off builds push out no admitted entry.  The
+    provisional entry is kept last in ``_entries``, behind the admitted ones
+    in least recently used order."""
+
+    def __init__(self, limit: int, remember: int = _BUILT_KEYS):
         self.limit = limit
+        self.remember = remember
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
+        self._trial = None  # the key of the provisional entry, if there is one
+        self._built: dict = {}  # the keys built, oldest first; values unused
         # n -> the plan that the entries of size n share; it leaves with the
         # last entry (or draw in progress) that holds it
         self._plans = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
+        self._reset_counts()
+
+    def _reset_counts(self) -> None:
         self.hits = self.misses = self.widened = self.bytes = 0
+        self.admitted = self.dropped = 0
 
     def get(self, key, build):
         """The value under ``key``, from ``build()`` on a miss."""
@@ -162,7 +190,12 @@ class _TableCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
-                self._entries.move_to_end(key)
+                if key == self._trial:
+                    self._trial = None
+                    self.admitted += 1
+                    self._evict()
+                else:
+                    self._touch(key)
                 return entry[0]
             self.misses += 1
             return self._put(key, build())
@@ -170,24 +203,63 @@ class _TableCache:
     def widen(self, key, seen, build):
         """The value under ``key`` once a draw from ``seen`` overflowed:
         ``build()`` in place of ``seen``, or the value that already replaced
-        it, so threads that overflow one entry together widen it once."""
+        it, so threads that overflow one entry together widen it once.  The
+        entry keeps its status; one that has left meanwhile comes back as a
+        build of a remembered key."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] is not seen:
                 return entry[0]
             self.widened += 1
-            return self._put(key, build())
+            value = build()
+            if entry is None:
+                return self._put(key, value)
+            size = _nbytes(value)
+            self._entries[key] = (value, size)
+            self.bytes += size - entry[1]
+            if key != self._trial:
+                self._touch(key)
+                self._evict()
+            return value
 
     def _put(self, key, value):
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.bytes -= old[1]
+        """Hold a fresh build of ``key``, which drops the provisional entry
+        before it: admitted when the key was built before, else provisional."""
+        if self._trial is not None:
+            self.bytes -= self._entries.pop(self._trial)[1]
+            self._trial = None
+            self.dropped += 1
         size = _nbytes(value)
         self._entries[key] = (value, size)
         self.bytes += size
-        while self.bytes > self.limit and len(self._entries) > 1:
-            self.bytes -= self._entries.popitem(last=False)[1][1]
+        if key in self._built:
+            self.admitted += 1
+            self._evict()
+            del self._built[key]
+        else:
+            self._trial = key
+        self._built[key] = None
+        if len(self._built) > self.remember:
+            del self._built[next(iter(self._built))]
         return value
+
+    def _touch(self, key) -> None:
+        """Make the admitted entry ``key`` the most recently used."""
+        self._entries.move_to_end(key)
+        if self._trial is not None:
+            self._entries.move_to_end(self._trial)
+
+    def _evict(self) -> None:
+        """Drop the least recently used admitted entries while the admitted
+        ones hold more than ``limit`` bytes, down to the most recent one."""
+        held, keep = self.bytes, 1
+        if self._trial is not None:
+            held -= self._entries[self._trial][1]
+            keep = 2
+        while held > self.limit and len(self._entries) > keep:
+            size = self._entries.popitem(last=False)[1][1]
+            held -= size
+            self.bytes -= size
 
     def _shared_plan(self, n: int) -> list:
         """The split plan that live entries of size n hold, else a new one; a
@@ -205,14 +277,17 @@ class _TableCache:
     def info(self) -> dict:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "widened": self.widened, "entries": len(self._entries),
-                    "bytes": self.bytes}
+                    "widened": self.widened, "admitted": self.admitted,
+                    "dropped": self.dropped, "remembered": len(self._built),
+                    "entries": len(self._entries), "bytes": self.bytes}
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._plans.clear()
-            self.hits = self.misses = self.widened = self.bytes = 0
+            self._built.clear()
+            self._trial = None
+            self._reset_counts()
 
 
 _TABLES = _TableCache(_TABLE_CACHE_BYTES)
@@ -229,8 +304,10 @@ def _nbytes(obj) -> int:
 
 
 def cache_info() -> dict:
-    """Hits, misses, widened entries (see _conditioned), entries and bytes
-    of the shared bridge-table cache."""
+    """Counts of the shared bridge-table cache (see _TableCache): hits,
+    misses, widened entries (see _conditioned), entries admitted, provisional
+    entries dropped unread, keys remembered as built, and the entries held
+    and their bytes, the provisional entry's included."""
     return _TABLES.info()
 
 

@@ -195,8 +195,8 @@ def stable_offspring(alpha: float, variant: str = "generic",
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; raises ValueError if one of them is
-    not an integer (a float such as 2.0 is one)."""
+    """``values`` as an int64 array; raises ValueError naming the first of
+    them that is not an integer (a float such as 2.0 is one)."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         return arr.astype(np.int64, copy=False)
@@ -205,8 +205,22 @@ def _integers(values, what: str) -> np.ndarray:
             out = arr.astype(np.int64)
         if np.array_equal(out, arr):
             return out
-        arr = arr[out != arr]
-    raise ValueError(f"{what} must be integers, got {arr.ravel()[:1].tolist()[0]!r}")
+        bad = arr[out != arr].ravel()[0].item()
+    else:
+        # numpy turns [0, "a"] into strings and [0, None] into objects, so
+        # the values are searched as given
+        given = np.asarray(values, dtype=object).ravel()
+        bad = next((x for x in given if not _integral(x)), given[0])
+    raise ValueError(f"{what} must be integers, got {bad!r}")
+
+
+def _integral(x) -> bool:
+    """Whether one value given to _integers is an integer."""
+    if isinstance(x, (bool, np.bool_)):
+        return False
+    if isinstance(x, (int, np.integer)):
+        return True
+    return isinstance(x, (float, np.floating)) and float(x).is_integer()
 
 
 _JSON_TYPES = {int: "an integer", list: "an array"}

@@ -74,24 +74,29 @@ def test_equal_laws_share_one_entry(fresh_cache):
     tables = a._bridge_tables
     assert list(tables) == [300]
     assert info["bytes"] == _entry_bytes(tables[300], _split_plan(300))
-    # a longer stored table is another key, with the same values
+    # a longer stored table is another key, with the same values; each key
+    # is sampled twice, so its entry is admitted and the next build keeps it
     c = stable_offspring(1.5, cutoff=64)
     assert c._table_key != a._table_key
-    xc = sample_conditioned_steps(c, 300, np.random.default_rng(1))
-    assert np.array_equal(xa, xc)
+    for seed in (1, 2):
+        xc = sample_conditioned_steps(c, 300, np.random.default_rng(seed))
+        if seed == 1:
+            assert np.array_equal(xa, xc)
     assert cache_info()["entries"] == 2
     assert stable_offspring(1.5, "no-unary")._table_key != a._table_key
     # stored tables of one length but other values are other keys
     for probs in ([0.5, 0.0, 0.5], [0.25, 0.5, 0.25]):
-        x = sample_conditioned_steps(OffspringLaw.from_probabilities(probs), 301,
-                                     np.random.default_rng(1))
-        assert set(x.tolist()) <= {k for k, p in enumerate(probs) if p > 0}
+        for seed in (1, 2):
+            x = sample_conditioned_steps(OffspringLaw.from_probabilities(probs), 301,
+                                         np.random.default_rng(seed))
+            assert set(x.tolist()) <= {k for k, p in enumerate(probs) if p > 0}
     assert cache_info()["entries"] == 4
 
 
 def test_second_law_at_one_size_builds_no_second_plan(fresh_cache, monkeypatch):
     # _split_plan runs once per size: two laws at one n, and the block
-    # tables of sample_boltzmann at that n, hold one plan object
+    # tables of sample_boltzmann at that n, hold one plan object; each key
+    # is drawn twice, so its entry is admitted and outlives the next build
     plans = []
 
     def counting(n):
@@ -102,11 +107,13 @@ def test_second_law_at_one_size_builds_no_second_plan(fresh_cache, monkeypatch):
     n, m = 2000, 300
     first, second = stable_offspring(1.5), stable_offspring(1.2, "no-unary")
     for law, size in ((first, n), (first, m), (second, n)):
-        sample_conditioned_steps(law, size, np.random.default_rng(0))
-    sample_boltzmann(second, n, np.random.default_rng(0))
+        for seed in range(2):
+            sample_conditioned_steps(law, size, np.random.default_rng(seed))
+    for seed in range(2):
+        sample_boltzmann(second, n, np.random.default_rng(seed))
     assert plans == [n, m]
     info = cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (0, 4, 4)
+    assert (info["hits"], info["misses"], info["entries"]) == (4, 4, 4)
     entries = _bridge._TABLES._entries
     keys = [(first._table_key, n), (second._table_key, n),
             (("blocks", second._table_key), n)]
@@ -124,7 +131,8 @@ def test_shared_plan_counts_in_every_entry_that_holds_it(fresh_cache):
     n = 2000
     laws = [stable_offspring(1.5), stable_offspring(1.2)]
     for law in laws:
-        sample_conditioned_steps(law, n, np.random.default_rng(0))
+        for seed in range(2):  # reused, so admitted
+            sample_conditioned_steps(law, n, np.random.default_rng(seed))
     plan = _bridge._TABLES._entries[(laws[0]._table_key, n)][0][1]
     assert cache_info()["bytes"] == sum(_entry_bytes(law._bridge_tables[n], plan)
                                         for law in laws)
@@ -168,8 +176,10 @@ def test_boltzmann_builds_block_tables_once_per_law_values_and_size(fresh_cache,
 
     monkeypatch.setattr(dissection, "_block_pmf", counting_blocks)
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting_tables)
-    for seed in range(3):
-        for n in (3, 40):
+    # each size is drawn three times in a row, so its entry is admitted at
+    # the first hit; a size drawn once would be dropped by the next build
+    for n in (3, 40):
+        for seed in range(3):
             law = stable_offspring(1.5, "no-unary")  # a new object each time
             want = sample_boltzmann(law, n, np.random.default_rng(seed))
             assert want.n_sides == n + 1
@@ -181,15 +191,22 @@ def test_boltzmann_builds_block_tables_once_per_law_values_and_size(fresh_cache,
 
 
 def test_eviction_drops_least_recently_used_bytes_first():
+    # the order among admitted entries; each is read once after its build,
+    # which admits it
     cache = _TableCache(limit=3 * 800)
     for key in "abc":
         cache.get(key, _entry(100))  # 800 bytes each
+        cache.get(key, _refuse)
     cache.get("a", _refuse)  # a is now the most recent
-    cache.get("d", _entry(100))
+    cache.get("d", _entry(100))  # provisional: it pushes out nothing
+    assert list(cache._entries) == ["b", "c", "a", "d"]
+    cache.get("d", _refuse)  # admitted: b, the least recently used, goes
     assert list(cache._entries) == ["c", "a", "d"]
-    assert cache.info() == {"hits": 1, "misses": 4, "widened": 0, "entries": 3,
+    assert cache.info() == {"hits": 5, "misses": 4, "widened": 0, "admitted": 4,
+                            "dropped": 0, "remembered": 4, "entries": 3,
                             "bytes": 2400}
-    cache.get("e", _entry(200))  # 1600 bytes push out c and then a
+    cache.get("e", _entry(200))
+    cache.get("e", _refuse)  # 1600 bytes push out c and then a
     assert list(cache._entries) == ["d", "e"]
     assert cache.info()["bytes"] == 2400
 
@@ -202,6 +219,88 @@ def test_oversized_newest_entry_is_kept():
     assert cache.get("big", _refuse) is big
     cache.get("small", _entry(100))
     assert list(cache._entries) == ["small"] and cache.info()["bytes"] == 800
+
+
+def test_one_off_sizes_leave_only_the_newest_entry(fresh_cache):
+    law, sizes = stable_offspring(1.5), range(2, 202)
+    for n in sizes:
+        sample_conditioned_steps(law, n, np.random.default_rng(n))
+    info = cache_info()
+    assert (info["misses"], info["hits"], info["admitted"]) == (200, 0, 0)
+    assert (info["dropped"], info["remembered"], info["entries"]) == (199, 200, 1)
+    n = sizes[-1]
+    assert list(law._bridge_tables) == [n]
+    assert info["bytes"] == _entry_bytes(law._bridge_tables[n], _split_plan(n))
+
+
+def test_a_hit_or_a_second_build_admits_an_entry():
+    cache = _TableCache(limit=10**6)
+    cache.get("a", _entry(100))
+    cache.get("b", _entry(100))  # drops a, which was never read again
+    assert list(cache._entries) == ["b"]
+    assert (cache.info()["admitted"], cache.info()["dropped"]) == (0, 1)
+    cache.get("b", _refuse)  # a hit admits b
+    cache.get("c", _entry(100))  # provisional, behind b
+    assert list(cache._entries) == ["b", "c"]
+    again = cache.get("a", _entry(100))  # a second build is admitted at once
+    assert list(cache._entries) == ["b", "a"]
+    cache.get("d", _entry(100))  # which the next build leaves in place
+    assert list(cache._entries) == ["b", "a", "d"]
+    assert cache.get("a", _refuse) is again
+    info = cache.info()
+    assert (info["hits"], info["misses"]) == (2, 5)
+    assert (info["admitted"], info["dropped"], info["remembered"]) == (2, 2, 4)
+    assert info["bytes"] == 3 * 800
+
+
+def test_admitted_entry_survives_one_off_builds_past_the_limit():
+    cache = _TableCache(limit=1000)
+    kept = cache.get("kept", _entry(100))
+    cache.get("kept", _refuse)
+    for k in range(5):  # each one-off alone is 8000 bytes, eight times the limit
+        cache.get(k, _entry(1000))
+        assert list(cache._entries) == ["kept", k]
+        assert cache.info()["bytes"] == 800 + 8000
+    assert cache.get("kept", _refuse) is kept
+    info = cache.info()
+    assert (info["admitted"], info["dropped"], info["entries"]) == (1, 4, 2)
+
+
+def test_widen_keeps_an_entrys_status():
+    cache = _TableCache(limit=10**6)
+    cache.get("a", _entry(100))
+    cache.get("a", _refuse)  # admitted
+    narrow = cache.get("p", _entry(100))  # provisional
+    wide = cache.widen("p", narrow, _entry(300))
+    assert cache.widen("p", narrow, _refuse) is wide  # widened once
+    cache.get("q", _entry(100))  # the widened provisional entry goes unread
+    assert list(cache._entries) == ["a", "q"]
+    seen = cache.get("q", _refuse)  # admitted
+    cache.get("a", _refuse)
+    cache.get("r", _entry(100))  # provisional
+    assert list(cache._entries) == ["q", "a", "r"]
+    cache.widen("q", seen, _entry(200))  # stays admitted, now the most recent
+    assert list(cache._entries) == ["a", "q", "r"]
+    cache.get("s", _entry(100))
+    assert list(cache._entries) == ["a", "q", "s"]
+    info = cache.info()
+    assert (info["widened"], info["admitted"], info["dropped"]) == (2, 2, 2)
+    assert info["bytes"] == (100 + 200 + 100) * 8
+
+
+def test_record_of_built_keys_stays_within_its_bound():
+    assert _bridge._TABLES.remember == _bridge._BUILT_KEYS
+    cache = _TableCache(limit=10**6, remember=3)
+    for k in range(10):
+        cache.get(k, _entry(1))
+        assert cache.info()["remembered"] == min(k + 1, 3)
+    assert list(cache._built) == [7, 8, 9]
+    cache.get(0, _entry(1))  # forgotten: provisional again
+    assert cache.info()["admitted"] == 0
+    cache.get(8, _entry(1))  # remembered: admitted at once
+    assert cache.info()["admitted"] == 1
+    assert list(cache._built) == [9, 0, 8]
+    assert list(cache._entries) == [8]
 
 
 def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
@@ -233,9 +332,11 @@ def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert builds == [n]
-    # one miss, and a hit for every other thread
+    # one miss, and a hit for every other thread, the first of which admits
+    # the entry
     info = cache_info()
     assert (info["hits"], info["misses"]) == (workers - 1, 1)
+    assert (info["admitted"], info["dropped"], info["entries"]) == (1, 0, 1)
     for i, x in enumerate(out):
         assert np.array_equal(x, sample_conditioned_steps(law, n, np.random.default_rng(i)))
 

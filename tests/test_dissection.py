@@ -313,6 +313,12 @@ def test_non_integer_input_fails_fast(rng_factory):
         Dissection(4.9, [(0, 2)])
     with pytest.raises(ValueError, match=r"^chord endpoints must be integers, got 0\.5$"):
         Dissection(4, [(0.5, 2.7)])
+    # numpy turns a mixed list into strings or objects; the message names the
+    # element that is not an integer, not the first one
+    with pytest.raises(ValueError, match=r"^chord endpoints must be integers, got 'a'$"):
+        Dissection.from_json('{"n_sides": 5, "chords": [[0, "a"]]}')
+    with pytest.raises(ValueError, match=r"^chord endpoints must be integers, got None$"):
+        Dissection.from_json('{"n_sides": 5, "chords": [[0, null]]}')
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         sample_boltzmann(stable_offspring(1.5, "no-unary"), 3.9, rng_factory(41))
     # an empty chord list is float to numpy, and still no chord at all
