@@ -47,9 +47,9 @@ its key is reused: a fresh build stays only until the next build, unless a
 hit admits it, and a key built before is admitted at once (see
 _TableCache).  So a size drawn once, as most sizes of a sweep over n are,
 leaves nothing behind but its key.  The admitted entries hold at most
-_TABLE_CACHE_BYTES, least recently used out first.  What a draw reads does
-not depend on any of this.  A warm sample only computes the segment totals
-and draws.
+_TABLE_CACHE_BYTES, least recently used out first, and the newest build
+comes on top of them.  What a draw reads does not depend on any of this.
+A warm sample only computes the segment totals and draws.
 
 A sample takes its n - 1 uniforms, one per segment of size >= 2, in one call
 rng.random(n - 1), before any draw: level by level, group by group within a
@@ -159,18 +159,19 @@ class _TableCache:
     extra build.  A fresh build starts out provisional, and stays only while
     it is the newest build: the next build drops it unread.  A hit admits
     it, and a key that the cache remembers building is admitted at once.
-    The cache remembers the last ``remember`` keys it built, keys only.
+    The cache remembers the last _BUILT_KEYS keys it built, keys only.
 
     While the admitted entries hold more than ``limit`` bytes the least
     recently used goes, but the most recent stays even when it alone is
     larger, so any n still samples; the provisional entry does not count
-    toward ``limit``, so one-off builds push out no admitted entry.  The
-    provisional entry is kept last in ``_entries``, behind the admitted ones
-    in least recently used order."""
+    toward ``limit``, so one-off builds push out no admitted entry.  So the
+    cache holds up to ``limit`` bytes of admitted entries (more only when
+    the most recent alone is larger) plus the newest build, whatever its
+    size.  The provisional entry is kept last in ``_entries``, behind the
+    admitted ones in least recently used order."""
 
-    def __init__(self, limit: int, remember: int = _BUILT_KEYS):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.remember = remember
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
         self._trial = None  # the key of the provisional entry, if there is one
         self._built: dict = {}  # the keys built, oldest first; values unused
@@ -239,7 +240,7 @@ class _TableCache:
         else:
             self._trial = key
         self._built[key] = None
-        if len(self._built) > self.remember:
+        if len(self._built) > _BUILT_KEYS:
             del self._built[next(iter(self._built))]
         return value
 

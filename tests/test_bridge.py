@@ -266,6 +266,21 @@ def test_admitted_entry_survives_one_off_builds_past_the_limit():
     assert (info["admitted"], info["dropped"], info["entries"]) == (1, 4, 2)
 
 
+def test_cache_holds_its_limit_plus_the_newest_build():
+    # the worst case: admitted entries fill the limit, and a one-off build of
+    # any size comes on top of them
+    cache = _TableCache(limit=2 * 800)
+    for key in "ab":
+        cache.get(key, _entry(100))
+        cache.get(key, _refuse)
+    cache.get("big", _entry(10**4))
+    assert list(cache._entries) == ["a", "b", "big"]
+    assert cache.info()["bytes"] == cache.limit + 8 * 10**4
+    cache.get("big", _refuse)  # admitted, it alone stays
+    assert list(cache._entries) == ["big"]
+    assert cache.info()["bytes"] == 8 * 10**4
+
+
 def test_widen_keeps_an_entrys_status():
     cache = _TableCache(limit=10**6)
     cache.get("a", _entry(100))
@@ -288,9 +303,9 @@ def test_widen_keeps_an_entrys_status():
     assert info["bytes"] == (100 + 200 + 100) * 8
 
 
-def test_record_of_built_keys_stays_within_its_bound():
-    assert _bridge._TABLES.remember == _bridge._BUILT_KEYS
-    cache = _TableCache(limit=10**6, remember=3)
+def test_record_of_built_keys_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(_bridge, "_BUILT_KEYS", 3)
+    cache = _TableCache(limit=10**6)
     for k in range(10):
         cache.get(k, _entry(1))
         assert cache.info()["remembered"] == min(k + 1, 3)
