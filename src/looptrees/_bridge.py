@@ -4,9 +4,10 @@ Splits the vector dyadically: the total of the left half given the overall
 total has a density proportional to p_a(j) * p_b(T - j), where p_m is the pmf
 of a sum of m offspring.  Those pmfs are computed by convolution on the window
 [0, n-1], which is exact there because offspring counts are nonnegative and
-every conditional total stays <= n-1.  Only the ~2*log2(n) distinct half
-sizes ever appear, so the tables of one (law, n) are small and each sample
-costs O(n log n).
+every conditional total stays <= n-1.  The tables are built for the segment
+sizes that the split plan of n holds (below), only the ~2*log2(n) distinct
+half sizes, so the tables of one (law, n) are small and each sample costs
+O(n log n).
 
 A draw reads a half's table only on [0, t], t its segment's total, and the
 total of a segment of size m stays near m + O(B_n).  So above
@@ -29,11 +30,11 @@ steps rare.  At 10**6 one cache entry takes 59 MB at alpha = 1.5 and
 A prefix is a correctness matter, since a slice past it would come out
 short without an error.  Before any read, _draw_group checks its largest
 total against both halves' kept lengths and raises _Overflow past them.
-_conditioned then restores rng's state from before the draw, has the cache
-replace the entry, under its lock, by one built with the reach
-max(2 * reach, t + 1), which covers that total and every total inside its
-segment, and draws again: the same uniforms on the same floats, so the
-same draws.  cache_info() counts these widenings.
+_conditioned then has the cache replace the entry, under its lock, by one
+built with the reach max(2 * reach, t + 1), which covers that total and
+every total inside its segment, and runs the draw again on the uniforms it
+already took: the same uniforms on the same floats, so the same draws, and
+rng is read once.  cache_info() counts these widenings.
 
 The split itself (each level's segment sizes, their grouping by size and
 their order) depends on n alone, and is built as a split plan.  One cache
@@ -51,11 +52,13 @@ _TABLE_CACHE_BYTES, least recently used out first, and the newest build
 comes on top of them.  What a draw reads does not depend on any of this.
 A warm sample only computes the segment totals and draws.
 
-A sample takes its n - 1 uniforms, one per segment of size >= 2, in one call
+_conditioned checks that n draws can reach the total n - 1, and then takes
+the sample's n - 1 uniforms, one per segment of size >= 2, in one call
 rng.random(n - 1), before any draw: level by level, group by group within a
 level and in plan order within a group.  Each segment inverts its own
-conditional CDF at its uniform, in one of three forms, chosen by its total
-and by the number of segments in its group of the plan (its group's size):
+conditional CDF at its uniform, in one of three forms, which _draw_group
+chooses by its total and by the number of segments in its group of the plan
+(its group's size):
 
 * CDF rows.  A segment of total t <= _ROW_TOTAL in a group of at least
   _ROW_SEGMENTS segments draws from rows built with the tables: row t holds
@@ -114,8 +117,8 @@ _EXACT_CONV_LIMIT = 4096
 _TABLE_CACHE_BYTES = 128 * 2**20
 _BUILT_KEYS = 4096
 # the segments of totals <= _ROW_TOTAL in a group of at least _ROW_SEGMENTS
-# segments draw from CDF rows; the tables hold rows for every segment size
-# that some level of the split holds that often, so n < 2 * _ROW_SEGMENTS
+# segments draw from CDF rows; the tables hold rows for the size of every
+# group of the split plan that holds that many, so n < 2 * _ROW_SEGMENTS
 # builds none;
 # the rows of a size hold (_ROW_TOTAL + 1) * (_ROW_TOTAL + 2) / 2 floats
 _ROW_TOTAL = 64
@@ -312,44 +315,20 @@ def cache_info() -> dict:
     return _TABLES.info()
 
 
-def _level_sizes(n: int):
-    """(size, count) of the segments of each level k of the split of n with
-    2**k <= n: n mod 2**k segments of size ceil(n / 2**k) and the rest of
-    size floor(n / 2**k).  Later levels hold only size 1, which the last of
-    these levels holds too."""
-    k = 1
-    while k <= n:
-        q, r = divmod(n, k)
-        if r:
-            yield q + 1, r
-        yield q, k - r
-        k *= 2
-
-
-def _half_sizes(n: int) -> list:
-    """All distinct sizes appearing in the dyadic split tree of n, ascending."""
-    return sorted({m for m, _ in _level_sizes(n)})
-
-
-def _row_sizes(n: int) -> list:
-    """Segment sizes m >= 2 that some level of the split of n holds at least
-    _ROW_SEGMENTS times."""
-    return sorted({m for m, count in _level_sizes(n)
-                   if m >= 2 and count >= _ROW_SEGMENTS})
-
-
-def _sum_pmf_tables(window: np.ndarray, reach=None) -> dict:
-    """pmf of S_m on [0, n-1] for every half size m < n, built by
-    convolution from ``window``, the single-draw pmf on [0, n-1].  Of S_n the
-    bridge reads only P(S_n = n-1), so ``tables[n]`` holds that one value:
-    0.0 when no n draws sum to n-1.  For each segment size m in
-    _row_sizes(n), ``tables[("rows", m)]`` and ``tables[("guide", m)]`` hold
-    its CDF rows and their guide (see _cdf_rows).  Above _EXACT_CONV_LIMIT
-    a ``reach`` other than None keeps only the prefix _kept_width(m, n,
-    reach) of each table m."""
+def _sum_pmf_tables(window: np.ndarray, plan: list, reach=None) -> dict:
+    """pmf of S_m on [0, n-1] for every segment size m < n that ``plan``,
+    the split plan of n, holds, built by convolution from ``window``, the
+    single-draw pmf on [0, n-1].  Of S_n the bridge reads only
+    P(S_n = n-1), so ``tables[n]`` holds that one value: 0.0 when no n draws
+    sum to n-1.  For each size m of a group of at least _ROW_SEGMENTS
+    segments in the plan, ``tables[("rows", m)]`` and ``tables[("guide",
+    m)]`` hold its CDF rows and their guide (see _cdf_rows).  Above
+    _EXACT_CONV_LIMIT a ``reach`` other than None keeps only the prefix
+    _kept_width(m, n, reach) of each table m."""
     n = window.size
     tables = {1: window}
-    sizes = [m for m in _half_sizes(n)[:-1] if m > 1]
+    held = [(a + b, sel.size) for *_, groups in plan for a, b, sel in groups]
+    sizes = sorted({m for m, _ in held} - {n})
     if n <= _EXACT_CONV_LIMIT:
         for m in sizes:
             a = (m + 1) // 2
@@ -363,7 +342,7 @@ def _sum_pmf_tables(window: np.ndarray, reach=None) -> dict:
     # multiple of the gcd of the law's positive support points
     if n > _EXACT_CONV_LIMIT and (n - 1) % np.gcd.reduce(np.flatnonzero(window[1:]) + 1):
         tables[n] = np.float64(0.0)
-    for m in _row_sizes(n):
+    for m in sorted({m for m, count in held if count >= _ROW_SEGMENTS}):
         a = (m + 1) // 2
         tables[("rows", m)], tables[("guide", m)] = _cdf_rows(tables[a], tables[m - a])
     return tables
@@ -547,70 +526,61 @@ class _Overflow(Exception):
 def _draw_group(tables: dict, a: int, b: int, t: np.ndarray, u: np.ndarray,
                 ramp: np.ndarray, group: int) -> np.ndarray:
     """The left-half totals of segments of size a + b with totals t, drawn
-    at the uniforms u.  ``group``, the number of segments in their group of
-    the plan, sets the forms and the units, so each segment draws the same
-    whichever others of its group come with it.  Raises _Overflow when a
-    total reaches past a half's kept prefix, where a slice would silently
-    come out short."""
+    at the uniforms u, each in the form that its total and ``group``, the
+    number of segments in their group of the plan, choose: CDF rows, alone or
+    the shared sum (see the module docstring).  ``group`` also sets the
+    shared sum's units, so each segment draws the same whichever others of
+    its group come with it.  Raises _Overflow when a total reaches past a
+    half's kept prefix, where a slice would silently come out short."""
+    pa, pb = tables[a], tables[b]
     top = int(t.max())
-    if top >= min(tables[a].size, tables[b].size):
+    if top >= min(pa.size, pb.size):
         raise _Overflow(top)
-    if group >= _ROW_SEGMENTS:
-        # the tables hold rows for every size that a level holds this often
+    rows = group >= _ROW_SEGMENTS  # the plan gave this size rows
+    if not rows and top < _ALONE_TOTAL:
+        return _draw_shared(pa, pb, t, u, ramp, group)
+    j = np.empty_like(t)
+    shared = np.ones(t.size, dtype=bool)
+    if rows:
         small = t <= _ROW_TOTAL
-        j = np.empty_like(t)
         j[small] = _draw_rows(tables[("rows", a + b)], tables[("guide", a + b)],
                               t[small], u[small])
-        rest = np.flatnonzero(~small)
-        if rest.size:
-            j[rest] = _draw_weighted(tables[a], tables[b], t[rest], u[rest], ramp, group)
-        return j
-    return _draw_weighted(tables[a], tables[b], t, u, ramp, group)
+        shared = ~small
+    if top >= _ALONE_TOTAL:
+        alone = t >= _ALONE_TOTAL
+        for i in np.flatnonzero(alone).tolist():
+            j[i] = _draw_alone(pa, pb, int(t[i]), float(u[i]), ramp)
+        shared &= ~alone
+    rest = np.flatnonzero(shared)
+    if rest.size:
+        j[rest] = _draw_shared(pa, pb, t[rest], u[rest], ramp, group)
+    return j
 
 
-def _draw_weighted(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
-                   u: np.ndarray, ramp: np.ndarray, group: int) -> np.ndarray:
+def _draw_shared(pa: np.ndarray, pb: np.ndarray, t: np.ndarray, u: np.ndarray,
+                 ramp: np.ndarray, group: int) -> np.ndarray:
     """The left-half totals of segments with totals t and halves of pmfs pa
-    and pb, drawn at the uniforms u from their weights: alone for totals of
-    at least _ALONE_TOTAL, the others on one shared cumulative sum in the
-    units of a group of ``group`` segments."""
+    and pb, drawn at the uniforms u on one shared cumulative sum in the units
+    of a group of ``group`` segments, from the weights pa[j] * pb[t_i - j],
+    j = 0..t_i, of every segment i laid end to end."""
     lengths = t + 1
     offsets = np.zeros(t.size + 1, dtype=np.int64)
     lengths.cumsum(out=offsets[1:])
-    if offsets[-1] > _ALONE_TOTAL:
-        alone = np.flatnonzero(t >= _ALONE_TOTAL)
-        if alone.size:
-            j = np.empty_like(t)
-            for i in alone.tolist():
-                j[i] = _draw_alone(pa, pb, int(t[i]), float(u[i]), ramp)
-            shared = np.flatnonzero(t < _ALONE_TOTAL)
-            if shared.size:
-                j[shared] = _draw_weighted(pa, pb, t[shared], u[shared], ramp, group)
-            return j
-    w = _segment_weights(pa, pb, t, offsets, ramp)
-    return _draw_in_segments(w, offsets, lengths, u, group)
-
-
-def _segment_weights(pa: np.ndarray, pb: np.ndarray, t: np.ndarray,
-                     offsets: np.ndarray, ramp: np.ndarray) -> np.ndarray:
-    """The weights pa[j] * pb[t_i - j], j = 0..t_i, of every segment i laid
-    end to end from offsets[i]."""
     flat = int(offsets[-1])
     if flat >= _LONG_SEGMENTS * t.size:
         # few long segments: a product of two slices each, with no indices
         w = np.empty(flat)
         for o, ti in zip(offsets.tolist(), t.tolist()):
             np.multiply(pa[:ti + 1], pb[ti::-1], out=w[o:o + ti + 1])
-        return w
-    # j and t - j of every weight, each in one buffer of its own
-    lengths = t + 1
-    j = offsets[:-1].repeat(lengths)
-    np.subtract(ramp[:flat], j, out=j)
-    rest = (t + offsets[:-1]).repeat(lengths)
-    rest -= ramp[:flat]
-    w = pa[j]
-    w *= pb[rest]
-    return w
+    else:
+        # j and t - j of every weight, each in one buffer of its own
+        j = offsets[:-1].repeat(lengths)
+        np.subtract(ramp[:flat], j, out=j)
+        rest = (t + offsets[:-1]).repeat(lengths)
+        rest -= ramp[:flat]
+        w = pa[j]
+        w *= pb[rest]
+    return _draw_in_segments(w, offsets, lengths, u, group)
 
 
 def _split_plan(n: int) -> list:
@@ -649,28 +619,14 @@ class _Plan(list):
     name, so the cache finds the plan of a size without a scan."""
 
 
-def _attained(tables: dict) -> int:
-    """n, the length of the window ``tables[1]``, once n draws from it are
-    known to reach the total n - 1."""
-    n = tables[1].size
-    if tables[n] <= 0.0:
-        raise ValueError(
-            f"total {n - 1} is unattainable by {n} draws from this law"
-        )
-    return n
-
-
-def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
+def _bridge(tables: dict, plan: list, u: np.ndarray, ramp: np.ndarray) -> np.ndarray:
     """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
     conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
-    ``plan`` from _split_plan(n).  The n - 1 uniforms come from one
-    rng.random call before any draw, and each group reads its own slice of
-    them, in plan order."""
-    n = _attained(tables)
-    u = rng.random(n - 1)
+    ``plan`` from _split_plan(n).  Each group reads its own slice of the n - 1
+    uniforms ``u``, in plan order; ``ramp`` is np.arange(2 * n)."""
+    n = tables[1].size
     out = np.empty(n, dtype=np.int64)
     total = np.array([n - 1], dtype=np.int64)
-    ramp = np.arange(2 * n)
     first = 0  # the uniform of the next group's first segment
     for leaf_at, leaf_out, groups in plan:
         if leaf_at.size:
@@ -686,18 +642,16 @@ def _bridge(tables: dict, plan: list, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _bridge_max(tables: dict, plan: list, rng: np.random.Generator) -> int:
-    """max(_bridge(tables, plan, rng)), bit for bit, with the same uniforms
-    taken from rng, drawing only the segments that may hold it.
+def _bridge_max(tables: dict, plan: list, u: np.ndarray, ramp: np.ndarray) -> int:
+    """max(_bridge(tables, plan, u, ramp)), bit for bit, drawing only the
+    segments that may hold it, each at the uniform _bridge gives it.
 
     A greedy descent draws one segment per level, always into the half of
     larger total, down to one value: the first lower bound.  Then the levels
     are walked as _bridge walks them, keeping only the live segments, those
     whose totals exceed the largest value found so far; a live segment that
     the descent drew keeps the halves it drew there."""
-    n = _attained(tables)
-    u = rng.random(n - 1)
-    ramp = np.arange(2 * n)
+    n = tables[1].size
     # the uniform of each level's first segment
     firsts = np.cumsum([0] + [sum(sel.size for *_, sel in groups)
                               for *_, groups in plan]).tolist()
@@ -758,23 +712,28 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
     """``draw`` (_bridge or _bridge_max) of n i.i.d. draws from the pmf
     ``window()`` on [0, n-1] conditioned to sum to n-1, and the tables they
     came from (``tables[1]`` is the window).  The entry of (key, n) is built
-    from ``window()`` on a miss, so equal keys must give equal windows, and
-    keeps the table prefixes that ``reach`` sets (see _kept_width).
+    from ``window()`` on a miss, so equal keys must give equal windows: the
+    tables of the sizes its split plan holds, kept to the prefixes that
+    ``reach`` sets (see _kept_width).
 
-    A draw whose total overflows a prefix starts again from rng's state
-    before it, on the entry rebuilt with the reach doubled and past that
-    total, which covers it and every total inside its segment."""
+    Once n - 1 is known to be attainable, the sample takes its n - 1
+    uniforms from one rng.random call before any draw.  A draw whose total
+    overflows a prefix runs again on the same uniforms, on the entry rebuilt
+    with the reach doubled and past that total, which covers it and every
+    total inside its segment."""
     def build(reach):
-        return _sum_pmf_tables(window(), reach), _TABLES._shared_plan(n), reach
+        plan = _TABLES._shared_plan(n)
+        return _sum_pmf_tables(window(), plan, reach), plan, reach
 
     entry = _TABLES.get((key, n), lambda: build(reach))
-    # only kept prefixes can overflow; full tables never need the snapshot
-    state = None if entry[2] is None else rng.bit_generator.state
+    if entry[0][n] <= 0.0:
+        raise ValueError(f"total {n - 1} is unattainable by {n} draws from this law")
+    u = rng.random(n - 1)
+    ramp = np.arange(2 * n)
     while True:
         tables, plan, reach = entry
         try:
-            return draw(tables, plan, rng), tables
+            return draw(tables, plan, u, ramp), tables
         except _Overflow as over:
-            rng.bit_generator.state = state
             wider = max(2 * reach, over.args[0] + 1)
             entry = _TABLES.widen((key, n), entry, lambda: build(wider))

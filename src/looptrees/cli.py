@@ -296,17 +296,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_layout(args: argparse.Namespace) -> int:
     header = _comment_header({"input": str(args.input)}, "")
     try:
-        doc = json.loads(args.input.read_text())
-        if "chords" in doc:
-            d = Dissection(doc["n_sides"], doc["chords"])
-            svg = d.to_svg(header_lines=header)
-        elif "children_counts" in doc:  # tree.json or looptree.json (tree echo)
-            tree = PlaneTree(doc["children_counts"])
-            svg = looptree_svg(tree, header_lines=header)
+        text = args.input.read_text()
+        doc = json.loads(text)
+        keys = doc if isinstance(doc, dict) else {}
+        if "chords" in keys:
+            svg = Dissection.from_json(text).to_svg(header_lines=header)
+        elif "children_counts" in keys:  # tree.json or looptree.json (tree echo)
+            svg = looptree_svg(PlaneTree.from_json(text), header_lines=header)
         else:
             raise ValueError("has neither chords nor children_counts")
-    except KeyError as exc:
-        problem = f"missing key {exc}"
     except (OSError, ValueError, TypeError) as exc:
         problem = str(exc)
     else:

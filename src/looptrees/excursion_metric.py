@@ -11,6 +11,8 @@ integer arrays of them broadcast against each other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gw_tree import LukasiewiczPath
@@ -35,8 +37,8 @@ class JumpPath:
     __slots__ = ("walk", "scale", "values", "jumps")
 
     def __init__(self, walk: LukasiewiczPath, scale: float):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale!r}")
+        if not 0 < scale < math.inf:  # nan fails too
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         self.walk = walk
         self.scale = float(scale)
         self.values = walk.values / scale

@@ -236,6 +236,7 @@ def circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
     from the walk (loop_distances); the graph's covering radius comes from
     one search started at all anchors at once.
     """
+    _check_counts(anchors=anchors)
     n = tree.size
     graph = build_loop(tree)
     m = min(anchors, graph.vertex_count)

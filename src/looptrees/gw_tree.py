@@ -238,12 +238,23 @@ def _json_fields(text: str, what: str, **types) -> list:
         if key not in data:
             raise ValueError(f"the {what} JSON has no key {key!r}")
         value = data[key]
-        # JSON true and false load as bools, which are ints to Python
+        # JSON true and false load as bools, which are ints to Python and
+        # which numpy casts to 1 and 0 in an array of integers
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"the {what} JSON key {key!r} must be "
                              f"{_JSON_TYPES[kind]}, got {type(value).__name__}")
+        if kind is list and _holds_bool(value):
+            raise ValueError(f"the {what} JSON key {key!r} must hold integers, "
+                             "got a bool")
         values.append(value)
     return values
+
+
+def _holds_bool(value) -> bool:
+    """Whether a bool sits anywhere in a nest of lists."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 class PlaneTree:

@@ -88,13 +88,19 @@ class LoopGraph:
     def distances(self, sources=None) -> np.ndarray:
         """BFS distances, one row per source (all vertices when omitted).
 
-        Raises on a disconnected graph, naming one vertex that cannot be
-        reached and its source.
+        Raises IndexError on a source outside [0, vertex_count), and
+        RuntimeError on a disconnected graph, naming one vertex that cannot
+        be reached and its source.
         """
         if sources is None:
             idx = np.arange(self.vertex_count, dtype=np.int64)
         else:
             idx = np.atleast_1d(_integers(sources, "sources"))
+            # dijkstra would read -k as the k-th vertex from the end
+            bad = idx[(idx < 0) | (idx >= self.vertex_count)]
+            if bad.size:
+                raise IndexError(f"vertex index {int(bad[0])} out of range "
+                                 f"[0, {self.vertex_count})")
         dist = dijkstra(self.adjacency(), unweighted=True, indices=idx)
         if np.isinf(dist).any():
             row, col = np.argwhere(np.isinf(dist))[0]

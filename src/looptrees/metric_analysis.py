@@ -23,8 +23,10 @@ def ball_volume_profile(graph: LoopGraph, center: int, radii) -> np.ndarray:
     r = _integers(radii, "radii")
     if r.size == 0 or np.any(np.diff(r) <= 0) or r[0] < 0:
         raise ValueError("radii must be strictly increasing and nonnegative")
-    dist = dijkstra(graph.adjacency(), unweighted=True,
-                    indices=operator.index(center), limit=float(r[-1]))
+    c = operator.index(center)
+    if not 0 <= c < graph.vertex_count:  # dijkstra would read -k from the end
+        raise IndexError(f"vertex index {c} out of range [0, {graph.vertex_count})")
+    dist = dijkstra(graph.adjacency(), unweighted=True, indices=c, limit=float(r[-1]))
     dist = dist[np.isfinite(dist)]
     return np.searchsorted(np.sort(dist), r, side="right").astype(np.int64)
 

@@ -43,11 +43,11 @@ def sample_increment(params: StableParams, t: float, rng: np.random.Generator, s
     against the transform's own prefactor, and X_t = t**(1/alpha) * X_1 by
     self-similarity.
 
-    :param t: time argument, must be positive.
+    :param t: time argument, must be positive and finite.
     :param size: optional numpy-style shape; None gives a scalar.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    if not 0 < t < math.inf:  # nan fails too
+        raise ValueError(f"t must be positive and finite, got {t!r}")
     alpha = params.alpha
     theta0 = math.pi / 2 - math.pi / alpha  # negative throughout (1, 2)
     v = rng.uniform(-math.pi / 2, math.pi / 2, size=size)

@@ -178,9 +178,10 @@ def bridge_by_levels(tables: dict, rng: np.random.Generator) -> np.ndarray:
 
 
 def half_sizes_by_search(n: int) -> list:
-    """Oracle for _bridge._half_sizes: every distinct segment size of the
-    dyadic split of n, found by a breadth-first search over the sizes that
-    halving reaches, ascending."""
+    """Oracle for the sizes that _bridge._split_plan holds and that
+    _bridge._sum_pmf_tables builds tables for: every distinct segment size
+    of the dyadic split of n, found by a breadth-first search over the sizes
+    that halving reaches, ascending."""
     sizes = {n}
     frontier = {n}
     while frontier:

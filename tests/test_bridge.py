@@ -25,10 +25,7 @@ from looptrees._bridge import (
     _ROW_TOTAL,
     _TableCache,
     _draw_in_segments,
-    _half_sizes,
-    _level_sizes,
     _nbytes,
-    _row_sizes,
     _split_plan,
     _sum_pmf_tables,
     cache_info,
@@ -144,9 +141,9 @@ def test_tables_that_fill_the_cache_keep_their_plan(fresh_cache, monkeypatch):
     monkeypatch.setattr(_bridge._TABLES, "limit", 2**20)
     builds = []
 
-    def counting(window, reach=None):
+    def counting(window, plan, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window, reach)
+        return _sum_pmf_tables(window, plan, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     sample_conditioned_steps(stable_offspring(1.2), 300, np.random.default_rng(0))
@@ -170,9 +167,9 @@ def test_boltzmann_builds_block_tables_once_per_law_values_and_size(fresh_cache,
         blocks.append(mu.size - 1)
         return _block_pmf(mu)
 
-    def counting_tables(window, reach=None):
+    def counting_tables(window, plan, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window, reach)
+        return _sum_pmf_tables(window, plan, reach)
 
     monkeypatch.setattr(dissection, "_block_pmf", counting_blocks)
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting_tables)
@@ -321,9 +318,9 @@ def test_record_of_built_keys_stays_within_its_bound(monkeypatch):
 def test_threads_that_miss_together_build_once(fresh_cache, monkeypatch):
     builds = []
 
-    def counting(window, reach=None):
+    def counting(window, plan, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window, reach)
+        return _sum_pmf_tables(window, plan, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     law = stable_offspring(1.5)
@@ -406,10 +403,10 @@ def test_bridge_equals_level_oracle(law, n, blocks, seed):
         window = _block_pmf(law.pmf(np.arange(n + 1)))
     else:
         window = law.pmf(np.arange(n))
-    tables = _sum_pmf_tables(window)
-    plan = _split_plan(n)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _outcome(lambda: _bridge._bridge(tables, plan, rng))
+    key = object()  # full tables of this window alone
+    got = _outcome(lambda: _bridge._conditioned(key, n, lambda: window, rng)[0])
+    tables = _bridge._TABLES._entries[(key, n)][0][0]
     want = _outcome(lambda: bridge_by_levels(tables, oracle_rng))
     if isinstance(want, tuple):
         assert got == want
@@ -470,26 +467,40 @@ def test_split_plan_covers_every_position_once(n):
         assert all(sel.dtype == np.int32 for _, _, sel in groups)
 
 
+def _planned(n):
+    # the sizes the plan's groups hold, and those of at least _ROW_SEGMENTS
+    # segments, which get CDF rows and their guide
+    groups = [(a + b, sel.size) for *_, gs in _split_plan(n) for a, b, sel in gs]
+    return {m for m, _ in groups}, {m for m, count in groups if count >= _ROW_SEGMENTS}
+
+
+def _assert_tables_hold_the_plan(n):
+    _, often = _planned(n)
+    window = stable_offspring(1.5).pmf(np.arange(n))
+    keys = set(_sum_pmf_tables(window, _split_plan(n)))
+    assert keys == {*half_sizes_by_search(n),
+                    *((kind, m) for m in often for kind in ("rows", "guide"))}, n
+
+
 def test_level_sizes_match_the_search_and_the_plan():
-    # the closed form gives every size the halving reaches, and the sizes
-    # and segment counts of every group the split plan makes
-    for n in [*range(1, 5000), 10**5, 10**5 + 7, 2**17, 999_983, 10**6]:
-        assert _half_sizes(n) == half_sizes_by_search(n), n
-    for n in [*range(1, 3001), 10**5]:
-        held = [(a + b, sel.size) for _, _, groups in _split_plan(n)
-                for a, b, sel in groups]
-        assert sorted(held) == sorted(
-            (m, count) for m, count in _level_sizes(n) if m >= 2), n
+    # the plan's groups hold every size the halving reaches, and the tables
+    # built from the plan hold those sizes.  Tables are built where that is
+    # cheap; past that the plan's sizes are checked alone
+    for n in [*range(2, 5000), 10**5, 10**5 + 7, 2**17, 999_983, 10**6]:
+        sizes, often = _planned(n)
+        assert sorted({1} | sizes) == half_sizes_by_search(n), n
+        assert n >= 2 * _ROW_SEGMENTS or not often, n
+    for n in [*range(2, 301), 1000, 4096]:
+        _assert_tables_hold_the_plan(n)
 
 
 @pytest.mark.parametrize("n", [2, 2047, 2048, 4097, 30001, 10**5])
 def test_rows_cover_the_sizes_a_level_holds_often(n):
     # rows exist exactly for the segment sizes some level of the plan holds
     # at least _ROW_SEGMENTS times, so n < 2 * _ROW_SEGMENTS builds none
-    often = {a + b for _, _, groups in _split_plan(n)
-             for a, b, sel in groups if sel.size >= _ROW_SEGMENTS}
-    assert set(_row_sizes(n)) == often
+    _, often = _planned(n)
     assert bool(often) == (n >= 2 * _ROW_SEGMENTS)
+    _assert_tables_hold_the_plan(n)
 
 
 # ---- the draws ----
@@ -545,11 +556,11 @@ def test_a_draw_depends_on_its_own_segment_alone():
     # sit on a step of their segment's CDF, where forms and units that are
     # each within budget still part ways
     n = 20000
-    tables = _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)))
+    tables = _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)), _split_plan(n))
     ramp = np.arange(2 * n)
     rng = np.random.default_rng(3)
-    rows = _row_sizes(n)
-    big = _half_sizes(n)[-5]
+    rows = sorted(k[1] for k in tables if isinstance(k, tuple) and k[0] == "rows")
+    big = half_sizes_by_search(n)[-5]
     for m, group in [(rows[0], 4000), (rows[-1], 4000), (rows[0], 600), (big, 600)]:
         a = (m + 1) // 2
         t = np.concatenate([rng.integers(1, _ROW_TOTAL + 1, _ROW_SEGMENTS + 200),
@@ -584,7 +595,8 @@ def test_extreme_uniforms_take_the_first_and_last_positive_weight():
     # first and last values of positive weight, past zero weights at either
     # end, in the rows and alone
     law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
-    tables = _sum_pmf_tables(law.pmf(np.arange(3 * _ROW_SEGMENTS)))
+    n = 3 * _ROW_SEGMENTS
+    tables = _sum_pmf_tables(law.pmf(np.arange(n)), _split_plan(n))
     # segments of size 3 split into 2 + 1: S_2 is in {0, 3, 6}, S_1 in {0, 3}
     t = np.array([3, 3, 6, 6, 9, 9])
     u = np.tile([0.0, 1.0 - 2.0**-53], 3)
@@ -619,8 +631,8 @@ def test_fft_convolution_matches_fftconvolve(alpha, variant):
     law = stable_offspring(alpha, variant)
     # 2 * 5063 - 1 = 3**4 * 5**3 is itself a fast length
     for n in (_EXACT_CONV_LIMIT + 1, 5063, 30001):
-        tables = _sum_pmf_tables(law.pmf(np.arange(n)))
-        for m in _bridge._half_sizes(n)[1:-1]:
+        tables = _sum_pmf_tables(law.pmf(np.arange(n)), _split_plan(n))
+        for m in half_sizes_by_search(n)[1:-1]:
             table = tables[m]
             a = (m + 1) // 2
             want = np.clip(fftconvolve(tables[a], tables[m - a])[:n], 0.0, None)
@@ -642,8 +654,8 @@ def test_fft_tables_transform_each_table_once(monkeypatch):
     monkeypatch.setattr(_bridge, "rfft", counting("rfft", _bridge.rfft))
     monkeypatch.setattr(_bridge, "irfft", counting("irfft", _bridge.irfft))
     n = 30001
-    _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)))
-    sizes = _bridge._half_sizes(n)[1:-1]
+    _sum_pmf_tables(stable_offspring(1.5).pmf(np.arange(n)), _split_plan(n))
+    sizes = half_sizes_by_search(n)[1:-1]
     halves = {h for m in sizes for h in ((m + 1) // 2, m // 2)}
     assert counts == {"rfft": len(halves), "irfft": len(sizes)}
     assert len(halves) < sum(2 - (m % 2 == 0) for m in sizes)  # the old count
@@ -656,12 +668,10 @@ def test_total_matches_full_table(n):
     law = stable_offspring(1.5, "no-unary")
     mu = law.pmf(np.arange(n + 1))
     for window in (law.pmf(np.arange(n)), _block_pmf(mu)):
-        tables = _sum_pmf_tables(window)
+        tables = _sum_pmf_tables(window, _split_plan(n))
         a = (n + 1) // 2
         full = np.convolve(tables[a], tables[n - a])[n - 1]
         assert tables[n] == pytest.approx(full, rel=1e-12, abs=0.0)
-        rows = {(key, m) for m in _row_sizes(n) for key in ("rows", "guide")}
-        assert set(tables) == set(_bridge._half_sizes(n)) | rows
 
 
 def test_import_leaves_scipy_signal_out():
@@ -675,31 +685,43 @@ def test_import_leaves_scipy_signal_out():
 
 # ---- kept table prefixes above the exact-convolution limit ----
 
-def _full_width(law, n: int):
-    """The tables of (law, n) at full width and the split plan of n."""
-    return _sum_pmf_tables(law.pmf(np.arange(n))), _split_plan(n)
+def _full_width(law, n: int, seeds) -> dict:
+    """What each seed gives from full-width tables of (law, n), drawn
+    through _conditioned under a key of their own: per seed and draw
+    (_bridge or _bridge_max), the values or the error, and rng's state
+    after it."""
+    window = law.pmf(np.arange(n))
+    key = ("full width", law._table_key)
+    out = {}
+    for seed in seeds:
+        for draw in (_bridge._bridge, _bridge._bridge_max):
+            rng = np.random.default_rng(seed)
+            got = _outcome(
+                lambda: _bridge._conditioned(key, n, lambda: window, rng, draw)[0])
+            out[seed, draw] = got, rng.bit_generator.state
+    return out
 
 
 def _same_as_full_width(law, n: int, seed: int, full) -> None:
     # the cached (cropped) entry against full-width tables: the same values
     # or the same error, and the same uniforms taken from rng
-    for sample, oracle in ((sample_conditioned_steps, _bridge._bridge),
-                           (sample_conditioned_max, _bridge._bridge_max)):
-        rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for sample, draw in ((sample_conditioned_steps, _bridge._bridge),
+                         (sample_conditioned_max, _bridge._bridge_max)):
+        rng = np.random.default_rng(seed)
         got = _outcome(lambda: sample(law, n, rng))
-        want = _outcome(lambda: oracle(*full, full_rng))
+        want, state = full[seed, draw]
         if isinstance(want, tuple):
             assert got == want
         else:
             assert np.array_equal(got, want)
-        assert rng.bit_generator.state == full_rng.bit_generator.state
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n", [_EXACT_CONV_LIMIT + 1, 30001])
 @pytest.mark.parametrize("law", [stable_offspring(1.05), stable_offspring(1.5),
                                  stable_offspring(1.95, "no-unary")], ids=repr)
 def test_kept_prefixes_draw_as_full_tables_do(fresh_cache, law, n):
-    full = _full_width(law, n)
+    full = _full_width(law, n, range(4))
     for seed in range(4):
         _same_as_full_width(law, n, seed, full)
     assert cache_info()["widened"] == 0
@@ -710,15 +732,15 @@ def test_lattice_law_draws_as_full_tables_do(fresh_cache):
     # unattainable for the support {0, 3}, 5002 is not
     law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
     for n in (_EXACT_CONV_LIMIT + 1, 5000, 5002):
-        full = _full_width(law, n)
+        full = _full_width(law, n, [0])
         _same_as_full_width(law, n, 0, full)
         tables = _bridge._TABLES._entries[(law._table_key, n)][0][0]
-        assert all(tables[m].size == n for m in _bridge._half_sizes(n)[:-1])
+        assert all(tables[m].size == n for m in half_sizes_by_search(n)[:-1])
 
 
 def test_kept_prefixes_are_full_width_prefixes(fresh_cache):
     law, n = stable_offspring(1.5), 30001
-    full = _sum_pmf_tables(law.pmf(np.arange(n)))
+    full = _sum_pmf_tables(law.pmf(np.arange(n)), _split_plan(n))
     sample_conditioned_steps(law, n, np.random.default_rng(0))
     (tables, plan, reach), size = _bridge._TABLES._entries[(law._table_key, n)]
     assert reach == math.ceil(_bridge._SLACK * law.scaling_constant(n))
@@ -736,11 +758,11 @@ def test_kept_prefixes_are_full_width_prefixes(fresh_cache):
 
 
 def test_overflow_widens_the_entry_once_and_draws_the_same(fresh_cache, monkeypatch):
-    # with no slack a segment's total overflows a prefix; the draw starts
-    # again from rng's state on an entry widened past that total
+    # with no slack a segment's total overflows a prefix; the draw runs
+    # again on the same uniforms, on an entry widened past that total
     monkeypatch.setattr(_bridge, "_SLACK", 0.0)
     law, n = stable_offspring(1.5), 30001
-    full = _full_width(law, n)
+    full = _full_width(law, n, range(3))
     for seed in range(3):
         _bridge._TABLES.clear()
         _same_as_full_width(law, n, seed, full)
@@ -781,9 +803,9 @@ def test_threads_that_overflow_one_entry_widen_it_once(fresh_cache, monkeypatch)
     monkeypatch.setattr(_bridge, "_SLACK", 0.0)
     builds = []
 
-    def counting(window, reach=None):
+    def counting(window, plan, reach=None):
         builds.append(reach)
-        return _sum_pmf_tables(window, reach)
+        return _sum_pmf_tables(window, plan, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     workers = 2
@@ -810,8 +832,7 @@ def test_threads_that_overflow_one_entry_widen_it_once(fresh_cache, monkeypatch)
     assert len(builds) == 2 and builds[0] < builds[1]
     info = cache_info()
     assert (info["hits"], info["misses"], info["widened"]) == (1, 1, 1)
-    full = _full_width(law, n)
-    want = _bridge._bridge(*full, np.random.default_rng(0))
+    want = _full_width(law, n, [0])[0, _bridge._bridge][0]
     assert all(np.array_equal(x, want) for x in out)
 
 

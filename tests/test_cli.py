@@ -94,8 +94,9 @@ def test_layout_round_trip(tmp_path):
     '{"children_counts": [2, 0]}',
     '{"chords": [[0, 2]]}',
     '{"n_sides": 6, "chords": [[0, 2], [1, 3]]}',
+    '{"children_counts": [true, 0]}',
 ], ids=["neither-key", "missing-file", "not-json", "scalar", "bad-counts",
-        "no-n-sides", "crossing-chords"])
+        "no-n-sides", "crossing-chords", "bool-counts"])
 def test_layout_rejects_unknown_document(tmp_path, capsys, text):
     bad = tmp_path / "junk.json"
     if text is not None:

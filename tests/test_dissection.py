@@ -219,6 +219,11 @@ def test_edge_count_euler_relation(no_unary_by_leaves):
     (LukasiewiczPath, '{}', "no key 'steps'"),
     (LukasiewiczPath, '{"steps": {"0": -1}}', "'steps' must be an array, got dict"),
     (LukasiewiczPath, '[[-1]]', "JSON object, got list"),
+    # numpy casts true and false to 1 and 0 among integers
+    (Dissection, '{"n_sides": 5, "chords": [[true, 3]]}',
+     "'chords' must hold integers, got a bool"),
+    (PlaneTree, '{"children_counts": [true, 0]}', "'children_counts' must hold integers"),
+    (LukasiewiczPath, '{"steps": [false, -1]}', "'steps' must hold integers, got a bool"),
 ])
 def test_from_json_names_the_missing_or_ill_typed_key(cls, text, word):
     with pytest.raises(ValueError) as info:

@@ -131,6 +131,13 @@ def test_rescale_and_max_jump():
         rescale(path, 0.0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_rescale_rejects_a_non_finite_scale(scale):
+    # nan scaled every value to nan and inf every value to 0
+    with pytest.raises(ValueError, match=r"^scale must be positive and finite, got "):
+        rescale(encode_tree(PlaneTree([2, 0, 0])), scale)
+
+
 def test_walk_view_and_csv():
     walk = LukasiewiczPath([1, 1, -1, -1, -1])
     w = rescale(walk, 1.0)

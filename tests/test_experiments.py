@@ -105,9 +105,9 @@ def test_cold_two_worker_run_builds_its_tables_once(monkeypatch):
     # workers that miss the cache together wait for one build
     builds = []
 
-    def counting(window, reach=None):
+    def counting(window, plan, reach=None):
         builds.append(window.size)
-        return _sum_pmf_tables(window, reach)
+        return _sum_pmf_tables(window, plan, reach)
 
     monkeypatch.setattr(_bridge, "_sum_pmf_tables", counting)
     monkeypatch.setenv("LOOPTREE_THREADS", "2")
@@ -224,6 +224,14 @@ def test_circle_gap_bound_equals_bfs_oracle():
             for anchors in (128, 37):
                 assert circle_gap_bound(tree, b, anchors) == \
                     bfs_circle_gap_bound(tree, b, anchors)
+
+
+def test_circle_gap_bound_rejects_zero_anchors():
+    # no anchors died in numpy's max over an empty array
+    tree = sample_conditioned_tree(stable_offspring(1.5), 20, stream(0, 0))
+    with pytest.raises(ConfigError, match="^anchors must be at least 1, got 0$") as info:
+        circle_gap_bound(tree, 1.0, anchors=0)
+    assert info.value.param == "anchors"
 
 
 def test_interpolation_crt_rejects_tiny_n():

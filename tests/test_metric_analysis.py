@@ -36,6 +36,15 @@ def test_bfs_metric_basics(cycle4):
     assert rows[0].tolist() == [0, 1, 2, 1]
 
 
+def test_bfs_metric_rejects_sources_out_of_range(cycle4):
+    # dijkstra reads -1 as the last vertex; the graph names the id instead
+    for bad in ([-1], [0, -4], [4]):
+        message = rf"^vertex index {bad[-1]} out of range \[0, 4\)$"
+        with pytest.raises(IndexError, match=message):
+            cycle4.distances(bad)
+    assert cycle4.distances([3]).tolist() == [[1, 2, 1, 0]]
+
+
 def test_bfs_metric_names_unreachable_vertex():
     iso = LoopGraph(3, np.array([[0, 1]]), np.arange(3))
     with pytest.raises(RuntimeError, match="2"):
@@ -92,6 +101,14 @@ def test_ball_volume_profile(cycle4):
         ball_volume_profile(cycle4, 0, np.array([1, 1, 2]))
     with pytest.raises(ValueError, match="negative"):
         ball_volume_profile(cycle4, 0, np.array([-1, 2]))
+
+
+def test_ball_volume_profile_rejects_a_center_out_of_range(cycle4):
+    # dijkstra reads -1 as the last vertex; the profile names the id instead
+    for bad in (-1, 4):
+        message = rf"^vertex index {bad} out of range \[0, 4\)$"
+        with pytest.raises(IndexError, match=message):
+            ball_volume_profile(cycle4, bad, [0, 1])
 
 
 def test_ball_volume_profile_takes_integers_only(cycle4):

@@ -33,6 +33,13 @@ def test_increment_rejects_bad_time():
         sample_increment(StableParams(1.5), -1.0, rng)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_increment_rejects_non_finite_time(t):
+    # nan gave a nan draw
+    with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
+        sample_increment(StableParams(1.5), t, np.random.default_rng(0))
+
+
 def test_increment_scalar_and_shape():
     rng = np.random.default_rng(1)
     x = sample_increment(StableParams(1.5), 1.0, rng)
