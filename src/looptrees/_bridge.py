@@ -302,6 +302,8 @@ def _nbytes(obj) -> int:
     tuples."""
     if isinstance(obj, dict):
         obj = list(obj.values())
+    if isinstance(obj, _Plan):
+        return sum(map(_nbytes, obj)) + obj.ramp.nbytes
     if isinstance(obj, (list, tuple)):
         return sum(map(_nbytes, obj))
     return getattr(obj, "nbytes", 0)
@@ -611,12 +613,18 @@ def _split_plan(n: int) -> list:
             break
         size = np.concatenate(next_size)
         start = np.concatenate(next_start)
-    return _Plan(levels)
+    plan = _Plan(levels)
+    plan.ramp = np.arange(2 * n)
+    plan.ramp.flags.writeable = False  # shared by every draw of size n
+    return plan
 
 
 class _Plan(list):
     """The levels of a split plan, in a list that a weak reference can
-    name, so the cache finds the plan of a size without a scan."""
+    name, so the cache finds the plan of a size without a scan.  ``ramp``
+    is np.arange(2 * n), which draws slice their indices from; made once
+    per plan, it spares each sample an allocation of 16n bytes, which at
+    n = 1e5 the allocator may map and unmap again on every sample."""
 
 
 def _bridge(tables: dict, plan: list, u: np.ndarray, ramp: np.ndarray) -> np.ndarray:
@@ -729,11 +737,10 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
     if entry[0][n] <= 0.0:
         raise ValueError(f"total {n - 1} is unattainable by {n} draws from this law")
     u = rng.random(n - 1)
-    ramp = np.arange(2 * n)
     while True:
         tables, plan, reach = entry
         try:
-            return draw(tables, plan, u, ramp), tables
+            return draw(tables, plan, u, plan.ramp), tables
         except _Overflow as over:
             wider = max(2 * reach, over.args[0] + 1)
             entry = _TABLES.widen((key, n), entry, lambda: build(wider))

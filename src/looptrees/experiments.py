@@ -20,8 +20,8 @@ from ._bridge import sample_conditioned_max
 from .dissection import _dual_gap, sample_boltzmann
 from .excursion_metric import distance_from_root, rescale
 from .gw_tree import encode_tree, sample_conditioned_tree, stable_offspring
-from .looptree import build_loop, loop_distances
-from .metric_analysis import MIN_CENTERS, ball_volume_profile, dimension_estimate
+from .looptree import _CORNER, _source_distances, build_loop, loop_distances
+from .metric_analysis import MIN_CENTERS, dimension_estimate
 from .stable_law import StableParams, expected_max_jump, sample_increment
 
 __all__ = [
@@ -197,15 +197,20 @@ def dimension_experiment(alpha: float = 1.5, n: int = 10**6,
         raise ConfigError(culprit, f"{where}, [{r_lo:g}, {r_hi:g}], holds "
                           f"{inside} of the sampled radii; a fit needs 2")
     law = stable_offspring(alpha)
+    vertex_count = n - 1 or 1  # build_loop's graph: one corner per non-root
 
     def one(i: int):
         rng = stream(seed, i)
         tree = sample_conditioned_tree(law, n, rng)
-        graph = build_loop(tree)
+        centers = [int(rng.integers(0, vertex_count))
+                   for _ in range(centers_per_tree)]
+        # each ball counted from the exact single-source distances of the
+        # walk: the loop graph's BFS rows, with no graph built
         out = []
-        for _ in range(centers_per_tree):
-            center = int(rng.integers(0, graph.vertex_count))
-            out.append((radii, ball_volume_profile(graph, center, radii)))
+        for dist in _source_distances(encode_tree(tree), centers, _CORNER):
+            hist = np.bincount(np.minimum(dist, radii[-1] + 1),
+                               minlength=radii[-1] + 1)
+            out.append((radii, np.cumsum(hist)[radii]))
         return out
 
     profiles = [p for chunk in _map_replicates(one, trees) for p in chunk]
@@ -237,6 +242,8 @@ def circle_gap_bound(tree, b: float, anchors: int = 128) -> float:
     one search started at all anchors at once.
     """
     _check_counts(anchors=anchors)
+    if not 0 < b < math.inf:
+        raise ConfigError("b", f"b must be positive and finite, got {b!r}")
     n = tree.size
     graph = build_loop(tree)
     m = min(anchors, graph.vertex_count)

@@ -196,9 +196,15 @@ def stable_offspring(alpha: float, variant: str = "generic",
 
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; raises ValueError naming the first of
-    them that is not an integer (a float such as 2.0 is one)."""
+    them that is not an integer (a float such as 2.0 is one, a bool is
+    not)."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "iu":
+    # numpy casts [True, 0] to [1, 0], so given values are searched for a
+    # bool; an integer array holds none and is taken as it is
+    if arr.dtype.kind in "iu" and (
+            isinstance(values, np.ndarray)
+            or not any(isinstance(x, (bool, np.bool_))
+                       for x in np.asarray(values, dtype=object).flat)):
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "f":
         with np.errstate(invalid="ignore"):

@@ -14,7 +14,9 @@ a pair climb the walk's genealogy to their most recent common ancestor, and
 every cycle on the way adds the circular gap between two slots.  One climb
 serves three conventions, each written once below: the two graphs and the
 continuous looptree of excursion_metric.  Each distance function takes a
-pair of integers or integer arrays, numbered like its own graph.
+pair of integers or integer arrays, numbered like its own graph.  The
+distances from one vertex to all others need no climb per pair: they are
+root sums of the same gaps, spread over subtrees (_source_distances).
 """
 
 from __future__ import annotations
@@ -275,16 +277,22 @@ def _pair_climb(path: LukasiewiczPath, lo: np.ndarray, hi: np.ndarray,
     before the root, so no gap on the root cycle is summed.  Conventions
     that share both therefore share one climb.
     """
-    shift, extra = convention[:2]
-    idx = path._ensure_index()
-    parent = idx.parent
-    slot = idx.pos + shift
-    step_up = np.minimum(slot, path.steps[parent] + extra - slot)  # gap from slot 0
+    parent = path._ensure_index().parent
+    slot, step_up = _step_up(path, convention)
     c_hi, sum_hi = _climb(parent, step_up, hi, lo)
     meet = parent[c_hi]  # lo itself when lo is an ancestor of hi
     c_lo, sum_lo = _climb(parent, step_up, lo, meet)
     width = np.abs(slot[c_hi] - np.where(lo == meet, 0, slot[c_lo]))
     return sum_lo + sum_hi, width, meet
+
+
+def _step_up(path: LukasiewiczPath, convention):
+    """Each vertex's slot on its parent's cycle and its gap from slot 0 there,
+    the cost of one step up; the root's entries mean nothing."""
+    shift, extra = convention[:2]
+    idx = path._ensure_index()
+    slot = idx.pos + shift
+    return slot, np.minimum(slot, path.steps[idx.parent] + extra - slot)
 
 
 def _meeting_term(path: LukasiewiczPath, climb, convention) -> np.ndarray:
@@ -313,6 +321,57 @@ def _prime_and_corner(path: LukasiewiczPath):
     if n == 1:
         return prime, prime  # the corner graph of a one-vertex tree is its root
     return prime, _meeting_term(path, climb, _CORNER).reshape(n, n)[1:, 1:]
+
+
+def _source_distances(path: LukasiewiczPath, sources, convention) -> np.ndarray:
+    """Exact distances from each graph vertex in ``sources`` to every graph
+    vertex of one convention, one row per source: the rows of the graph's
+    BFS, with no graph and no climb per pair.
+
+    up[v], the gaps summed from v to the root, comes from one difference
+    array over the subtrees [v, end[v]).  From a source c, a vertex y off
+    c's chain of ancestors lies under a child x, off the chain, of a chain
+    vertex a; d(c, y) = up[y] - up[x] plus c's climb to a and the gap on a's
+    cycle between x and c's branch (slot 0 when a is c).  All but up[y] is
+    constant on x's subtree, so a second difference array spreads it.  A
+    chain vertex adds the gap between its own slot 0 and c's branch.
+    """
+    extra, root_extra, first = convention[1:]
+    n = path.n
+    count = n - first or 1  # the corner graph of a one-vertex tree is its root
+    src = np.atleast_1d(_integers(sources, "sources"))
+    bad = src[(src < 0) | (src >= count)]
+    if bad.size:
+        raise IndexError(f"vertex index {int(bad[0])} out of range [0, {count})")
+    idx = path._ensure_index()
+    parent, end = idx.parent, idx.end
+    slot, step_up = _step_up(path, convention)
+    diff = np.zeros(n + 1, dtype=np.int64)
+    diff[1:n] = step_up[1:]
+    np.subtract.at(diff, end[1:], step_up[1:])
+    up = np.cumsum(diff[:n])
+    out = np.empty((src.size, n), dtype=np.int64)
+    for dist, c in zip(out, src + (n - count)):
+        chain = np.flatnonzero(end[:c + 1] > c)  # the root first, c last
+        below = chain[1:]
+        cost = np.append(up[c] - up[below], 0)  # c's climb to each
+        entry = np.append(slot[below], 0)  # c's branch on each cycle
+        cycle = path.steps[chain] + extra
+        cycle[0] += root_extra - extra
+        on = np.zeros(n, dtype=bool)
+        on[chain] = True
+        x = np.flatnonzero(on[parent[1:]] & ~on[1:]) + 1
+        k = np.searchsorted(chain, parent[x])
+        w = np.abs(slot[x] - entry[k])
+        term = cost[k] - up[x] + np.minimum(w, cycle[k] - w)
+        diff[:] = 0
+        diff[x] = term
+        diff[end[x]] -= term  # the subtrees are disjoint, so their ends differ
+        np.cumsum(diff[:n], out=dist)
+        dist += up
+        dist[chain] = cost + np.minimum(entry, cycle - entry)
+        dist[c] = 0
+    return out[:, n - count:]
 
 
 def _climb(parent: np.ndarray, weight: np.ndarray, cur: np.ndarray,

@@ -467,6 +467,15 @@ def test_split_plan_covers_every_position_once(n):
         assert all(sel.dtype == np.int32 for _, _, sel in groups)
 
 
+def test_split_plan_keeps_one_read_only_ramp_and_counts_it():
+    # draws slice their indices from it, so no sample makes its own
+    n = 300
+    plan = _split_plan(n)
+    assert np.array_equal(plan.ramp, np.arange(2 * n))
+    assert not plan.ramp.flags.writeable
+    assert _nbytes(plan) == _nbytes(list(plan)) + 16 * n
+
+
 def _planned(n):
     # the sizes the plan's groups hold, and those of at least _ROW_SEGMENTS
     # segments, which get CDF rows and their guide

@@ -140,6 +140,9 @@ _GOLDEN = [
     ("experiment interpolation-circle --alpha 1.05 --n 2000 --replicates 3 --seed 2", 1,
      {"interpolation_circle_data.csv": "cfb5a0e1d66d",
       "interpolation_circle_report.json": "d782526b7d08"}),
+    ("experiment dimension --n 2000 --replicates 5 --seed 4", 0,
+     {"dimension_data.csv": "83d98937046e",
+      "dimension_report.json": "3e82107e6bbe"}),
 ]
 
 

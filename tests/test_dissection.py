@@ -328,6 +328,9 @@ def test_non_integer_input_fails_fast(rng_factory):
         sample_boltzmann(stable_offspring(1.5, "no-unary"), 3.9, rng_factory(41))
     # an empty chord list is float to numpy, and still no chord at all
     assert Dissection(4, []).chord_count == 0
+    # numpy would cast [True, 3] to [1, 3]
+    with pytest.raises(ValueError, match=r"^chord endpoints must be integers, got True$"):
+        Dissection(5, [[True, 3]])
     assert Dissection(np.int64(4), np.array([[0, 2]])).chord_count == 1
     assert Dissection(4, [(0.0, 2.0)]) == Dissection(4, [(0, 2)])
 

@@ -31,6 +31,7 @@ from looptrees.gw_tree import (
     tree_stats,
 )
 from looptrees.looptree import build_loop, build_loop_prime
+from looptrees.metric_analysis import ball_volume_profile
 
 from conftest import dual_by_chord_walk, polygon_by_loop_graph
 
@@ -193,6 +194,43 @@ def test_dimension_experiment_smoke():
     assert len(rep["profiles"]) == 10
     assert rep["slope"] > 0
     assert rep["window"][0] < rep["window"][1]
+
+
+def test_dimension_profiles_equal_the_bfs_route():
+    # the oracle: the same trees and centers, each ball counted by a
+    # truncated search on the built loop graph
+    alpha, n, trees, per_tree, seed = 1.5, 2000, 5, 2, 4
+    rep = dimension_experiment(alpha=alpha, n=n, trees=trees,
+                               centers_per_tree=per_tree, seed=seed)
+    law = stable_offspring(alpha)
+    want = []
+    for i in range(trees):
+        rng = stream(seed, i)
+        graph = build_loop(sample_conditioned_tree(law, n, rng))
+        for _ in range(per_tree):
+            center = int(rng.integers(0, graph.vertex_count))
+            radii = np.array(rep["profiles"][len(want)]["radii"])
+            want.append(ball_volume_profile(graph, center, radii).tolist())
+    assert [p["counts"] for p in rep["profiles"]] == want
+
+
+def test_dimension_experiment_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimension_experiment built a graph")
+
+    for name in ("looptrees.looptree.build_loop",
+                 "looptrees.experiments.build_loop",
+                 "looptrees.metric_analysis.ball_volume_profile"):
+        monkeypatch.setattr(name, refuse)
+    rep = dimension_experiment(alpha=1.5, n=2000, trees=5, seed=4)
+    assert rep["pass"] and rep["centers"] == 10
+
+
+@pytest.mark.parametrize("b", [float("nan"), float("inf"), -1.0, 0, 0.0])
+def test_circle_gap_bound_refuses_a_scale_not_positive_and_finite(b):
+    with pytest.raises(ConfigError, match=r"^b must be positive and finite, got") as info:
+        circle_gap_bound(PlaneTree([3, 0, 0, 0]), b)
+    assert info.value.param == "b"
 
 
 def test_circle_gap_bound_on_a_star():

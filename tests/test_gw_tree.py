@@ -433,6 +433,18 @@ def test_non_integer_input_fails_fast():
                                    np.random.default_rng(3)).size == 3
 
 
+def test_a_bool_among_integers_fails_fast():
+    # numpy would cast [True, 0] to [1, 0]
+    with pytest.raises(ValueError, match=r"^children counts must be integers, got True$"):
+        PlaneTree([True, 0])
+    with pytest.raises(ValueError, match=r"^steps must be integers, got False$"):
+        LukasiewiczPath([1, False, -1, -1])
+    with pytest.raises(ValueError, match=r"^steps must be integers, got np\.True_$"):
+        LukasiewiczPath([np.True_, -1, -1])
+    # integer arrays, as the samplers pass them, are taken as they are
+    assert PlaneTree(np.array([1, 0])) == PlaneTree([1, 0])
+
+
 def test_law_values_take_integer_counts_only():
     law = stable_offspring(1.5)
     for values in (law.pmf, law.tail):

@@ -16,8 +16,13 @@ from looptrees.gw_tree import (
 from looptrees.excursion_metric import looptree_distance, rescale
 from looptrees.dissection import dual_tree, sample_boltzmann
 from looptrees.looptree import (
+    _CORNER,
+    _LOOPTREE,
+    _PRIME,
     LoopGraph,
     _prime_and_corner,
+    _source_distances,
+    _walk_distance,
     build_loop,
     build_loop_prime,
     loop_distances,
@@ -266,6 +271,48 @@ def test_one_climb_gives_both_loop_matrices(small_trees, rng_factory):
     law = stable_offspring(1.5, variant="no-unary")
     for n_leaves in [2, 3, 80] + rng.integers(4, 80, size=12).tolist():
         _check_one_climb(dual_tree(sample_boltzmann(law, n_leaves, rng)))
+
+
+def _check_source_rows(tree: PlaneTree) -> int:
+    # every source's row against the BFS of its own graph; the continuous
+    # convention, which has no graph, against the pair climb
+    path = encode_tree(tree)
+    for convention, build in ((_PRIME, build_loop_prime), (_CORNER, build_loop)):
+        want = build(tree).distances()
+        got = _source_distances(path, np.arange(want.shape[0]), convention)
+        assert np.array_equal(got, want), (convention, tree.children_counts.tolist())
+    v = np.arange(tree.size)
+    want = _walk_distance(path, v[:, None], v, _LOOPTREE)
+    assert np.array_equal(_source_distances(path, v, _LOOPTREE), want)
+    return tree.size
+
+
+def test_source_distances_equal_bfs_rows(small_trees, rng_factory):
+    # the small trees include those of one and two vertices
+    for tree in small_trees + _SPECIAL_TREES:
+        _check_source_rows(tree)
+    sources = 0
+    rng = rng_factory(27)
+    for alpha in (1.05, 1.5, 1.95):
+        law = stable_offspring(alpha)
+        for _ in range(15):
+            tree = sample_conditioned_tree(law, int(rng.integers(2, 300)), rng)
+            sources += _check_source_rows(tree)
+    assert sources > 1000
+
+
+def test_source_distances_take_any_sources_and_check_them():
+    tree = PlaneTree([2, 2, 0, 0, 0])
+    path = encode_tree(tree)
+    want = build_loop(tree).distances()
+    assert np.array_equal(_source_distances(path, [3, 0, 3], _CORNER),
+                          want[[3, 0, 3]])
+    assert np.array_equal(_source_distances(path, np.int32(2), _CORNER), want[[2]])
+    for bad in (4, -1):
+        with pytest.raises(IndexError, match=f"vertex index {bad} out of range"):
+            _source_distances(path, [0, bad], _CORNER)
+    with pytest.raises(ValueError, match=r"^sources must be integers, got 0\.5$"):
+        _source_distances(path, [0.5], _PRIME)
 
 
 def test_loop_prime_kernel_matches_bfs_and_scalar(small_trees, rng_factory):
