@@ -37,13 +37,17 @@ already took: the same uniforms on the same floats, so the same draws, and
 rng is read once.  cache_info() counts these widenings.
 
 The split itself (each level's segment sizes, their grouping by size and
-their order) depends on n alone, and is built as a split plan.  One cache
-entry per (source key, n) holds everything a draw of size n needs: the
-tables, the plan and the reach its tables were kept to.  _conditioned is
-the one way in, for the offspring laws of sample_conditioned_steps and
-sample_conditioned_max (laws with equal values share an entry, see
-OffspringLaw._table_key) and for the block pmfs of sample_boltzmann.
-Entries of one size share one plan object.  An entry is admitted only when
+their order) depends on n alone, and is built as a split plan.  A level of
+the plan holds its segments by size, so each group of equal sizes is a
+slice of the level's totals, and the plan keeps no index arrays but the
+output positions of the leaves.  One cache entry per (source key, n) holds
+everything a draw of size n needs: the tables, the plan and the reach its
+tables were kept to.  _conditioned is the one way in, for the offspring
+laws of sample_conditioned_steps and sample_conditioned_max (laws with
+equal values share an entry, see OffspringLaw._table_key) and for the block
+pmfs of sample_boltzmann.  A build takes its plan from a held entry of the
+same size if there is one, so the entries of one size share one plan
+object (see _TableCache).  An entry is admitted only when
 its key is reused: a fresh build stays only until the next build, unless a
 hit admits it, and a key built before is admitted at once (see
 _TableCache).  So a size drawn once, as most sizes of a sweep over n are,
@@ -101,8 +105,9 @@ from __future__ import annotations
 import math
 import operator
 import threading
-import weakref
 from collections import OrderedDict
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -150,11 +155,15 @@ _NO_VALUE = ("a conditional draw has no admissible value; "
 
 class _TableCache:
     """What a conditioned draw of size n needs, by (source key, n): the
-    tables built from the source's window and the split plan of n.  Entries
-    of one size share one plan object, and each counts the plan's bytes as
-    its own, so a shared plan is counted once per entry that holds it and
-    the cache errs toward evicting early.  A miss builds under the lock, so
-    threads that miss together build once.
+    tables built from the source's window and the split plan of n.  A build
+    finds its plan among the held entries of its size, so they share one
+    plan object, and each counts the plan's bytes as its own: a shared plan
+    is counted once per entry that holds it, and the cache errs toward
+    evicting early.  Once an entry is evicted, a draw in flight may hold the
+    only reference to its plan, which the scan then misses; a build of that
+    size meanwhile makes a second plan, which costs memory and changes no
+    draw.  A miss builds under the lock, so threads that miss together
+    build once.
 
     An entry is admitted only once its key has been reused, as the
     doorkeeper of TinyLFU (Einziger, Friedman and Manes, ACM TOS 2017)
@@ -178,9 +187,6 @@ class _TableCache:
         self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
         self._trial = None  # the key of the provisional entry, if there is one
         self._built: dict = {}  # the keys built, oldest first; values unused
-        # n -> the plan that the entries of size n share; it leaves with the
-        # last entry (or draw in progress) that holds it
-        self._plans = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
         self._reset_counts()
 
@@ -265,13 +271,13 @@ class _TableCache:
             held -= size
             self.bytes -= size
 
-    def _shared_plan(self, n: int) -> list:
-        """The split plan that live entries of size n hold, else a new one; a
-        build calls it, under the lock."""
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = self._plans[n] = _split_plan(n)
-        return plan
+    def _shared_plan(self, n: int) -> _Plan:
+        """The split plan that a held entry of size n holds, found by a scan
+        of the entries, else a new one; a build calls it, under the lock."""
+        for (_, m), (value, _) in self._entries.items():
+            if m == n:
+                return value[1]
+        return _split_plan(n)
 
     def by_length(self, key) -> dict:
         """{n: tables} of the entries cached for one source key."""
@@ -288,7 +294,6 @@ class _TableCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._plans.clear()
             self._built.clear()
             self._trial = None
             self._reset_counts()
@@ -302,8 +307,6 @@ def _nbytes(obj) -> int:
     tuples."""
     if isinstance(obj, dict):
         obj = list(obj.values())
-    if isinstance(obj, _Plan):
-        return sum(map(_nbytes, obj)) + obj.ramp.nbytes
     if isinstance(obj, (list, tuple)):
         return sum(map(_nbytes, obj))
     return getattr(obj, "nbytes", 0)
@@ -317,7 +320,7 @@ def cache_info() -> dict:
     return _TABLES.info()
 
 
-def _sum_pmf_tables(window: np.ndarray, plan: list, reach=None) -> dict:
+def _sum_pmf_tables(window: np.ndarray, plan: _Plan, reach=None) -> dict:
     """pmf of S_m on [0, n-1] for every segment size m < n that ``plan``,
     the split plan of n, holds, built by convolution from ``window``, the
     single-draw pmf on [0, n-1].  Of S_n the bridge reads only
@@ -329,7 +332,8 @@ def _sum_pmf_tables(window: np.ndarray, plan: list, reach=None) -> dict:
     _kept_width(m, n, reach) of each table m."""
     n = window.size
     tables = {1: window}
-    held = [(a + b, sel.size) for *_, groups in plan for a, b, sel in groups]
+    held = [(a + b, count) for *_, groups in plan.levels
+            for a, b, _, count, *_ in groups]
     sizes = sorted({m for m, _ in held} - {n})
     if n <= _EXACT_CONV_LIMIT:
         for m in sizes:
@@ -585,131 +589,129 @@ def _draw_shared(pa: np.ndarray, pb: np.ndarray, t: np.ndarray, u: np.ndarray,
     return _draw_in_segments(w, offsets, lengths, u, group)
 
 
-def _split_plan(n: int) -> list:
+class _Plan(NamedTuple):
+    """A split plan (see _split_plan) and ``ramp``, np.arange(2 * n), which
+    draws slice their indices from.  Made once per plan, the ramp spares
+    each sample an allocation of 16n bytes, which at n = 1e5 the allocator
+    may map and unmap again on every sample."""
+
+    levels: list
+    ramp: np.ndarray
+
+
+def _split_plan(n: int) -> _Plan:
     """The dyadic split of n positions, level by level: everything about it
-    that depends on n alone.  Each level is (leaf_at, leaf_out, groups):
-    the level's size-1 segments, as indices into its totals, and their
-    positions in the output; then one (a, b, sel) per segment size m >= 2,
-    ascending, where sel indexes the level's segments of size m and a + b = m
-    are the sizes of their halves.  The next level's segments are the lefts
-    and then the rights of each group in turn."""
-    levels = []
-    size = np.array([n])
-    start = np.zeros(1, dtype=np.int32)
-    while size.size:
-        leaves = np.flatnonzero(size == 1)
-        groups, next_size, next_start = [], [], []
-        # at most two distinct sizes occur per level, so this loop is short
-        for m in np.unique(size[size > 1]).tolist():
-            sel = np.flatnonzero(size == m)
+    that depends on n alone.  A level holds its segments by size: the size-1
+    segments first, then one run per size m >= 2, ascending, and each run in
+    the order the level above gives it.  So each group of equal sizes is a
+    slice of the level, and only the leaves need indices.  A build makes
+    one only when no held cache entry of size n has one (see _TableCache).
+
+    Each level is (leaf_out, shift, groups): the output positions of its
+    first leaf_out.size segments, those of size 1; the shift that makes
+    u[shift + p] the uniform of its segment p >= leaf_out.size; then one
+    (a, b, at, count, left, right) per run: its halves have sizes a + b = m,
+    it holds the level's segments at..at + count - 1, and the halves of its
+    r-th segment are the next level's segments left + r and right + r.  The
+    next level holds the halves of its runs by size, and those of one size
+    in the order of the runs, the left halves of a run before its right
+    ones."""
+    levels, size, first = [], operator.itemgetter(0), 0
+    runs = [(n, np.zeros(1, dtype=np.intp))]  # (size, output starts) per run
+    while runs:
+        leaf_out = runs.pop(0)[1] if runs[0][0] == 1 else np.zeros(0, dtype=np.intp)
+        groups, halves, at = [], [], leaf_out.size
+        for m, start in runs:
             a = (m + 1) // 2
-            groups.append((a, m - a, sel.astype(np.int32)))
-            next_size += [np.full(sel.size, a), np.full(sel.size, m - a)]
-            next_start += [start[sel], start[sel] + a]
-        # leaves are placed on every sample, so their indices are of the
-        # type numpy indexes with, which spares a conversion each time
-        levels.append((leaves, start[leaves].astype(np.intp), groups))
-        if not groups:
-            break
-        size = np.concatenate(next_size)
-        start = np.concatenate(next_start)
-    plan = _Plan(levels)
-    plan.ramp = np.arange(2 * n)
-    plan.ramp.flags.writeable = False  # shared by every draw of size n
-    return plan
+            groups.append((a, m - a, at, start.size))
+            halves += [(a, len(halves), start), (m - a, len(halves) + 1, start + a)]
+            at += start.size
+        shift, first = first - leaf_out.size, first + at - leaf_out.size
+        halves.sort(key=size)  # stable: one size's halves keep their order
+        place, at = [0] * len(halves), 0
+        for _, h, start in halves:
+            place[h], at = at, at + start.size
+        levels.append((leaf_out, shift, [(*g, place[2 * i], place[2 * i + 1])
+                                         for i, g in enumerate(groups)]))
+        runs = [(m, np.concatenate([h[2] for h in hs]))
+                for m, hs in groupby(halves, size)]
+    ramp = np.arange(2 * n)
+    ramp.flags.writeable = False  # shared by every draw of size n
+    return _Plan(levels, ramp)
 
 
-class _Plan(list):
-    """The levels of a split plan, in a list that a weak reference can
-    name, so the cache finds the plan of a size without a scan.  ``ramp``
-    is np.arange(2 * n), which draws slice their indices from; made once
-    per plan, it spares each sample an allocation of 16n bytes, which at
-    n = 1e5 the allocator may map and unmap again on every sample."""
-
-
-def _bridge(tables: dict, plan: list, u: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+def _bridge(tables: dict, plan: _Plan, u: np.ndarray) -> np.ndarray:
     """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
     conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
     ``plan`` from _split_plan(n).  Each group reads its own slice of the n - 1
-    uniforms ``u``, in plan order; ``ramp`` is np.arange(2 * n)."""
+    uniforms ``u``, in plan order."""
     n = tables[1].size
     out = np.empty(n, dtype=np.int64)
     total = np.array([n - 1], dtype=np.int64)
-    first = 0  # the uniform of the next group's first segment
-    for leaf_at, leaf_out, groups in plan:
-        if leaf_at.size:
-            out[leaf_out] = total[leaf_at]
-        parts = []
-        for a, b, sel in groups:
-            t = total[sel]
-            j = _draw_group(tables, a, b, t, u[first:first + sel.size], ramp, sel.size)
-            first += sel.size
-            parts += [j, t - j]
-        if parts:
-            total = np.concatenate(parts)
+    for leaf_out, shift, groups in plan.levels:
+        out[leaf_out] = total[:leaf_out.size]
+        halves = np.empty(2 * (total.size - leaf_out.size), dtype=np.int64)
+        for a, b, at, count, left, right in groups:
+            t = total[at:at + count]
+            j = _draw_group(tables, a, b, t, u[shift + at:shift + at + count],
+                            plan.ramp, count)
+            halves[left:left + count] = j
+            np.subtract(t, j, out=halves[right:right + count])
+        total = halves
     return out
 
 
-def _bridge_max(tables: dict, plan: list, u: np.ndarray, ramp: np.ndarray) -> int:
-    """max(_bridge(tables, plan, u, ramp)), bit for bit, drawing only the
-    segments that may hold it, each at the uniform _bridge gives it.
+def _bridge_max(tables: dict, plan: _Plan, u: np.ndarray) -> int:
+    """max(_bridge(tables, plan, u)), bit for bit, drawing only the segments
+    that may hold it, each at the uniform _bridge gives it.
 
     A greedy descent draws one segment per level, always into the half of
     larger total, down to one value: the first lower bound.  Then the levels
     are walked as _bridge walks them, keeping only the live segments, those
     whose totals exceed the largest value found so far; a live segment that
-    the descent drew keeps the halves it drew there."""
+    the descent drew keeps the halves it drew there.  A segment is known by
+    its level and its position in that level."""
     n = tables[1].size
-    # the uniform of each level's first segment
-    firsts = np.cumsum([0] + [sum(sel.size for *_, sel in groups)
-                              for *_, groups in plan]).tolist()
+    levels = plan.levels
 
-    def split(level: int, at, total, size) -> list:
-        """The halves of the segments of a level at level indices ``at``, of
-        totals ``total`` and sizes ``size``: (indices, totals, sizes) in the
-        next level, per group and side.  The r-th segment of a group takes
-        the uniform at the group's first plus r, and its halves have level
-        indices 2 * (the group's first segment in its level) + r and that
-        plus the group's size."""
-        parts, before = [], 0
-        for a, b, sel in plan[level][2]:
-            mine = np.flatnonzero(size == a + b)
+    def split(level: int, at, total) -> list:
+        """The halves of the segments at positions ``at`` of a level, of
+        totals ``total``: (positions, totals) in the next level, per group
+        and side."""
+        _, shift, groups = levels[level]
+        parts = []
+        for a, b, k, count, left, right in groups:
+            mine = np.flatnonzero((at >= k) & (at < k + count))
             if mine.size:
-                r = np.searchsorted(sel, at[mine])
-                t = total[mine]
-                j = _draw_group(tables, a, b, t, u[firsts[level] + before + r],
-                                ramp, sel.size)
-                left = 2 * before + r
-                parts += [(left, j, np.full(r.size, a)),
-                          (left + sel.size, t - j, np.full(r.size, b))]
-            before += sel.size
+                p, t = at[mine], total[mine]
+                j = _draw_group(tables, a, b, t, u[shift + p], plan.ramp, count)
+                parts += [(left - k + p, j), (right - k + p, t - j)]
         return parts
 
-    at, total, size = root = (np.zeros(1, dtype=np.int64),
-                              np.array([n - 1], dtype=np.int64), np.array([n]))
+    at, total = root = np.zeros(1, dtype=np.int64), np.array([n - 1], dtype=np.int64)
     descent = []  # per level: the segment it drew and that segment's halves
-    while size[0] > 1:
-        parts = split(len(descent), at, total, size)
+    while at[0] >= levels[len(descent)][0].size:  # down to a leaf
+        parts = split(len(descent), at, total)
         descent.append((at[0], parts))
         left, right = parts
-        at, total, size = left if left[1][0] >= right[1][0] else right
+        at, total = left if left[1][0] >= right[1][0] else right
     best = int(total[0])
 
-    at, total, size = root  # the live segments of the level
-    for level in range(len(plan)):
+    at, total = root  # the live segments of the level
+    for level in range(len(levels)):
         live = total > best
         if not live.any():
             break
-        at, total, size = at[live], total[live], size[live]
+        at, total = at[live], total[live]
         parts = []
         if level < len(descent):
             drawn = at == descent[level][0]
             if drawn.any():
                 parts += descent[level][1]
-                at, total, size = at[~drawn], total[~drawn], size[~drawn]
-        parts += split(level, at, total, size)
-        at, total, size = (np.concatenate(x) for x in zip(*parts))
-        leaf = size == 1
+                at, total = at[~drawn], total[~drawn]
+        parts += split(level, at, total)
+        at, total = (np.concatenate(x) for x in zip(*parts))
+        leaf = at < levels[level + 1][0].size
         if leaf.any():  # values, which then are at most best: never live
             best = max(best, int(total[leaf].max()))
     return best
@@ -740,7 +742,7 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
     while True:
         tables, plan, reach = entry
         try:
-            return draw(tables, plan, u, plan.ramp), tables
+            return draw(tables, plan, u), tables
         except _Overflow as over:
             wider = max(2 * reach, over.args[0] + 1)
             entry = _TABLES.widen((key, n), entry, lambda: build(wider))

@@ -41,8 +41,9 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _int_at_least(low: int):
-    """Option type for an integer no smaller than ``low``."""
+def _int_at_least(low: int, below: int | None = None):
+    """Option type for an integer no smaller than ``low``, and smaller than
+    ``below`` when that is given."""
 
     def parse(text: str) -> int:
         try:
@@ -55,6 +56,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}"
             )
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     return parse
@@ -262,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + opt, **_OPTIONS[opt], default=None)
 
     for p in (*kinds.choices.values(), *runs.choices.values()):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0, below=experiments._SEED_END),
+                       default=0)
         p.add_argument("--out-dir", type=Path, default=Path("."))
 
     pl = sub.add_parser("layout", help="render a saved object as SVG")

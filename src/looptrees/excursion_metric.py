@@ -30,11 +30,10 @@ class JumpPath:
     """A Lukasiewicz walk at scale B, queried at indices 0..n-1.
 
     ``values`` is W / B, with n+1 entries; the final one records the endpoint
-    -1 / B of the excursion and is not a queryable time.  ``jumps`` holds the
-    upward part of each increment of ``values``, at the time it arrives.
+    -1 / B of the excursion and is not a queryable time.
     """
 
-    __slots__ = ("walk", "scale", "values", "jumps")
+    __slots__ = ("walk", "scale", "values", "_jumps")
 
     def __init__(self, walk: LukasiewiczPath, scale: float):
         if not 0 < scale < math.inf:  # nan fails too
@@ -42,7 +41,15 @@ class JumpPath:
         self.walk = walk
         self.scale = float(scale)
         self.values = walk.values / scale
-        self.jumps = np.concatenate(([0.0], np.maximum(np.diff(self.values), 0.0)))
+        self._jumps = None
+
+    @property
+    def jumps(self) -> np.ndarray:
+        """The upward part of each increment of ``values``, at the time it
+        arrives; computed on the first read, since few callers need it."""
+        if self._jumps is None:
+            self._jumps = np.concatenate(([0.0], np.maximum(np.diff(self.values), 0.0)))
+        return self._jumps
 
     @property
     def n(self) -> int:

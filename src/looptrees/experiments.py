@@ -54,8 +54,15 @@ def _check_counts(**counts: int) -> None:
             raise ConfigError(param, f"{param} must be at least 1, got {value}")
 
 
+_SEED_END = 2**63
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent reproducible substream for one replicate."""
+    """Independent reproducible substream for one replicate.  ``seed`` must
+    lie in [0, 2**63): numpy reads a key word outside it through a float,
+    so seeds past 2**63 would share streams, and others warn or fail."""
+    if not 0 <= seed < _SEED_END:
+        raise ConfigError("seed", f"seed must be in [0, 2**63), got {seed}")
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 

@@ -1,5 +1,5 @@
-"""Presentational layouts: tangent circles for looptrees, disk chords
-for dissections.
+"""Presentational layout of looptrees as tangent circles.  A dissection
+draws its own disk and chords (dissection.Dissection.to_svg).
 
 Nothing here feeds back into any metric computation.  The looptree
 drawing gives every tree vertex a circle whose radius grows with its

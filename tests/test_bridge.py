@@ -456,15 +456,30 @@ def test_maximum_skips_a_segment_whose_draw_would_fail():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 100, 4097])
 def test_split_plan_covers_every_position_once(n):
-    plan = _split_plan(n)
-    placed = np.concatenate([leaf_out for _, leaf_out, _ in plan])
+    levels = _split_plan(n).levels
+    placed = np.concatenate([leaf_out for leaf_out, *_ in levels])
     assert np.array_equal(np.sort(placed), np.arange(n))
-    (a, b, sel), = plan[0][2]
-    assert (a, b, sel.tolist()) == ((n + 1) // 2, n // 2, [0])
-    for _, _, groups in plan:
-        sizes = [a + b for a, b, _ in groups]
-        assert sizes == sorted(set(sizes))  # ascending, one group per size
-        assert all(sel.dtype == np.int32 for _, _, sel in groups)
+    # one output position per leaf, and no other index array
+    assert _nbytes(levels) == 8 * n
+    (a, b, at, count, _, _), = levels[0][2]
+    assert (a, b, at, count) == ((n + 1) // 2, n // 2, 0, 1)
+    width, first = 1, 0  # the segments of the level, and its first uniform
+    for leaf_out, shift, groups in levels:
+        sizes = [a + b for a, b, *_ in groups]
+        assert sizes == sorted(set(sizes)) and min(sizes, default=2) >= 2
+        # the leaves and then the runs, one after the other, fill the level,
+        # whose segments of size >= 2 read the next uniforms in level order
+        ends = [leaf_out.size] + [at + count for _, _, at, count, _, _ in groups]
+        assert [at for _, _, at, *_ in groups] == ends[:-1] and ends[-1] == width
+        assert shift + leaf_out.size == first
+        first += width - leaf_out.size
+        # the halves of the runs fill the next level
+        width = 0
+        for side, count in sorted((side, count) for *_, count, left, right in groups
+                                  for side in (left, right)):
+            assert side == width
+            width += count
+    assert width == 0 and first == n - 1  # the last level holds leaves alone
 
 
 def test_split_plan_keeps_one_read_only_ramp_and_counts_it():
@@ -473,13 +488,15 @@ def test_split_plan_keeps_one_read_only_ramp_and_counts_it():
     plan = _split_plan(n)
     assert np.array_equal(plan.ramp, np.arange(2 * n))
     assert not plan.ramp.flags.writeable
-    assert _nbytes(plan) == _nbytes(list(plan)) + 16 * n
+    assert _nbytes(plan) == _nbytes(plan.levels) + 16 * n
 
 
 def _planned(n):
     # the sizes the plan's groups hold, and those of at least _ROW_SEGMENTS
     # segments, which get CDF rows and their guide
-    groups = [(a + b, sel.size) for *_, gs in _split_plan(n) for a, b, sel in gs]
+    levels = _split_plan(n).levels
+    assert _nbytes(levels) == 8 * n, n
+    groups = [(a + b, count) for *_, gs in levels for a, b, _, count, _, _ in gs]
     return {m for m, _ in groups}, {m for m, count in groups if count >= _ROW_SEGMENTS}
 
 

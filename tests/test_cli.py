@@ -244,6 +244,10 @@ def test_reports_are_strict_json(tmp_path):
     ("experiment", "--seed", "3", "dimension"),
     # a tree of one vertex has no jump
     ("experiment", "max-jump", "--n", "1"),
+    # a seed outside [0, 2**63)
+    ("sample", "tree", "--seed", "-1"),
+    ("sample", "tree", "--seed", str(2**64)),
+    ("experiment", "max-jump", "--seed", str(2**63)),
 ])
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -143,7 +143,9 @@ def test_walk_view_and_csv():
     w = rescale(walk, 1.0)
     assert w.n == 5 and w.walk is walk
     assert list(w.values) == [0, 1, 2, 1, 0, -1]
+    assert w._jumps is None  # computed on the first read only
     assert list(w.jumps) == [0, 1, 1, 0, 0, 0]
+    assert w.jumps is w.jumps
     csv = w.to_csv()
     lines = csv.splitlines()
     assert lines[0] == "time,value,jump"

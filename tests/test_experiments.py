@@ -92,6 +92,27 @@ def test_stream_is_deterministic_and_split():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+def test_stream_refuses_a_seed_outside_its_range(seed):
+    # numpy read such keys through a float: 2**63 + 1 drew the stream of
+    # 2**63, and -1 and 2**64 - 1 warned of an invalid cast
+    message = rf"^seed must be in \[0, 2\*\*63\), got {seed}$"
+    with pytest.raises(ConfigError, match=message) as info:
+        stream(seed, 0)
+    assert info.value.param == "seed"
+
+
+def test_stream_keeps_the_draws_of_seeds_in_range():
+    # the first raw words of both ends of the range, as drawn before the check
+    assert stream(0, 0).bit_generator.random_raw(2).tolist() == [
+        213000021201967259, 4455796210202625458]
+    assert stream(0, 5).bit_generator.random_raw(1).tolist() == [10838992762465911255]
+    assert stream(2**63 - 1, 0).bit_generator.random_raw(2).tolist() == [
+        17078119557474009138, 3349379938193924205]
+    assert stream(2**63 - 1, 5).bit_generator.random_raw(1).tolist() == [
+        14647519378219125677]
+
+
 def test_two_workers_give_the_single_worker_report(monkeypatch):
     # every replicate fans out over the pool, replicate 0 included
     kw = dict(alpha=1.05, n=3000, replicates=5, gh_paths=3, seed=6)
