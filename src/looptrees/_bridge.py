@@ -10,22 +10,28 @@ half sizes, so the tables of one (law, n) are small and each sample costs
 O(n log n).
 
 A draw reads a half's table only on [0, t], t its segment's total, and the
-total of a segment of size m stays near m + O(B_n).  So above
-_EXACT_CONV_LIMIT the cached tables of a law with a polynomial tail keep
-only prefixes: the table of half size k, which serves segments of sizes up
-to 2k + 1, keeps W(k) = min(n, 2(2k + 1) + 4 B_n) entries (_kept_width,
-with reach = _SLACK * B_n, B_n the law's scaling_constant(n)).  Laws
-without one and the block pmfs of sample_boltzmann keep all n, as do
-tables[1], both halves of n (which tables[n] reads) and every table at or
-below the limit; the CDF rows are built as before.  _fft_tables builds
-every table at full width, so each transform and each kept float is a full
-build's, and cuts a table to its prefix right after its own transform.
-Over 300 samples per alpha at n = 10**5 (seeds 0..299) the largest
-(t - 2(2k + 1)) / B_n over every table read was 1.29, 2.31 and 1.03 at
-alpha = 1.05, 1.5 and 1.95, so no draw overflowed; it is about the
-sample's largest step over B_n, and conditioning on the total makes large
-steps rare.  At 10**6 one cache entry takes 59 MB at alpha = 1.5 and
-53 MB at 1.95, against 264 MB at full width.
+total of a segment of size m stays near m, within a few times the spread of
+a sum of n draws: B_n (the law's scaling_constant(n)) for a polynomial tail,
+sigma * sqrt(n) for a finite law of variance sigma**2.  So every cached law
+table keeps only a prefix, at every n: the table of half size k, which
+serves segments of sizes up to 2k + 1, keeps W(k) = min(n, 2(2k + 1) +
+reach) entries (_kept_width), with reach = _SLACK times that spread and at
+least _ROW_TOTAL + 1 (_law_sample); the window tables[1] is the table of
+half size 1.  Both halves of n (which tables[n] reads) keep all n, and the
+block pmfs of sample_boltzmann keep every table whole, their window
+included, which _expand_blocks reads; the CDF rows are built as before.  Every table is built at full width and cut
+after its last full-width read, so each kept float is a full build's: the
+exact convolution cuts its tables once all are built, and _fft_tables cuts
+each right after its own transform.  Over 300 samples per law (seeds
+0..299) the largest (t - 2(2k + 1)) / reach over every table read was 0.32,
+0.58 and 0.26 at alpha = 1.05, 1.5 and 1.95 and n = 10**5, at most 0.57 at
+n = 2048, 3000 and 4096, and below 0.01 for two finite laws at 10**5 (whose
+largest step is bounded), so no draw overflowed; for a tail it is about the
+sample's largest step over the reach, and conditioning on the total makes
+large steps rare.  At 10**6 one cache entry, its plan's 24 MB included,
+takes 58 MB at alpha = 1.5, 52 MB at 1.95 and 50 MB for the finite law
+(0.4, 0.3, 0.2, 0.1), against 280 MB at full width, which alpha = 1.05
+keeps since its reach passes n.
 
 A prefix is a correctness matter, since a slice past it would come out
 short without an error.  Before any read, _draw_group checks its largest
@@ -56,13 +62,15 @@ _TABLE_CACHE_BYTES, least recently used out first, and the newest build
 comes on top of them.  What a draw reads does not depend on any of this.
 A warm sample only computes the segment totals and draws.
 
-_conditioned checks that n draws can reach the total n - 1, and then takes
-the sample's n - 1 uniforms, one per segment of size >= 2, in one call
-rng.random(n - 1), before any draw: level by level, group by group within a
-level and in plan order within a group.  Each segment inverts its own
-conditional CDF at its uniform, in one of three forms, which _draw_group
-chooses by its total and by the number of segments in its group of the plan
-(its group's size):
+An n whose total n - 1 lies off the lattice of the law's values raises
+before anything is built (_refuse_unattainable); the tables are the final
+word on the rest.  _conditioned checks that n draws can reach the total
+n - 1, and then takes the sample's n - 1 uniforms, one per segment of size
+>= 2, in one call rng.random(n - 1), before any draw: level by level, group
+by group within a level and in plan order within a group.  Each segment
+inverts its own conditional CDF at its uniform, in one of three forms, which
+_draw_group chooses by its total and by the number of segments in its group
+of the plan (its group's size):
 
 * CDF rows.  A segment of total t <= _ROW_TOTAL in a group of at least
   _ROW_SEGMENTS segments draws from rows built with the tables: row t holds
@@ -138,9 +146,9 @@ _BLOCK = 256
 # segments at least this long on average form their weights slice by slice;
 # shorter ones gather them through index arrays
 _LONG_SEGMENTS = 128
-# a cached FFT table of a law with a polynomial tail keeps the totals up to
-# twice the sizes of the segments that read it plus _SLACK * B_n (see
-# _kept_width)
+# a cached law table keeps the totals up to twice the sizes of the segments
+# that read it plus _SLACK times the law's spread, B_n or sigma * sqrt(n)
+# (see _kept_width)
 _SLACK = 4.0
 
 _ROW_K = np.arange(_ROW_TOTAL + 1)
@@ -327,9 +335,16 @@ def _sum_pmf_tables(window: np.ndarray, plan: _Plan, reach=None) -> dict:
     P(S_n = n-1), so ``tables[n]`` holds that one value: 0.0 when no n draws
     sum to n-1.  For each size m of a group of at least _ROW_SEGMENTS
     segments in the plan, ``tables[("rows", m)]`` and ``tables[("guide",
-    m)]`` hold its CDF rows and their guide (see _cdf_rows).  Above
-    _EXACT_CONV_LIMIT a ``reach`` other than None keeps only the prefix
-    _kept_width(m, n, reach) of each table m."""
+    m)]`` hold its CDF rows and their guide (see _cdf_rows).
+
+    Each table m, the window tables[1] included, keeps only its prefix
+    _kept_width(m, n, reach), all n for a ``reach`` of None.  Every table is
+    built at full width and cut after its last full-width read, so each
+    kept float is a full build's: the exact branch cuts them all once its
+    convolutions are done, and _fft_tables cuts each right after its own
+    transform.  tables[n] and the CDF rows read only the halves of n, which
+    keep all n, and entries below _ROW_TOTAL + 1, which every prefix
+    keeps."""
     n = window.size
     tables = {1: window}
     held = [(a + b, count) for *_, groups in plan.levels
@@ -338,7 +353,9 @@ def _sum_pmf_tables(window: np.ndarray, plan: _Plan, reach=None) -> dict:
     if n <= _EXACT_CONV_LIMIT:
         for m in sizes:
             a = (m + 1) // 2
-            tables[m] = np.convolve(tables[a], tables[m - a])[:n].copy()
+            tables[m] = np.convolve(tables[a], tables[m - a])[:n]
+        for m in (1, *sizes):
+            tables[m] = tables[m][:_kept_width(m, n, reach)].copy()
     else:
         _fft_tables(tables, sizes, n, reach)
     a = (n + 1) // 2
@@ -358,7 +375,9 @@ def _kept_width(k: int, n: int, reach) -> int:
     """W(k), the entries kept of the table of half size k: it serves
     segments of sizes up to 2k + 1, so min(n, 2(2k + 1) + reach), and all n
     for a reach of None.  Both halves of n keep all n, which tables[n]
-    reads."""
+    reads, and a reach of at least _ROW_TOTAL + 1 keeps what the CDF rows
+    read.  _law_sample sets the reach from the law's spread at every n; the
+    block pmfs of sample_boltzmann keep a reach of None."""
     return n if reach is None else min(n, 2 * (2 * k + 1) + reach)
 
 
@@ -370,15 +389,16 @@ def _fft_tables(tables: dict, sizes: list, n: int, reach) -> None:
     spectrum freed after its last use.
 
     Every table is built at full width, so every transform takes the same
-    input whatever ``reach`` is.  A table m with _kept_width(m, n, reach) <
-    n is then cut to that prefix right after its own transform, the last
-    read of its full width; its kept entries are the same floats."""
+    input whatever ``reach`` is.  A table m (the window tables[1] among
+    them) with _kept_width(m, n, reach) < n is then cut to that prefix right
+    after its own transform, the last read of its full width; its kept
+    entries are the same floats."""
     f = next_fast_len(2 * n - 1, True)
     last_use = {}
     for m in sizes:
         a = (m + 1) // 2
         last_use[a] = last_use[m - a] = m
-    width = {m: _kept_width(m, n, reach) for m in sizes}
+    width = {m: _kept_width(m, n, reach) for m in (1, *sizes)}
     # every table that stays full is allocated before the first transform,
     # so those tables lie together and the transforms leave no holes
     # between them; allocated one at a time, they raised the peak RSS of a
@@ -392,7 +412,7 @@ def _fft_tables(tables: dict, sizes: list, n: int, reach) -> None:
         for k in (a, m - a):
             if k not in spectra:
                 spectra[k] = rfft(tables[k], f)
-                if width.get(k, n) < n:
+                if width[k] < n:
                     tables[k] = tables[k][:width[k]].copy()
         tables[m] = np.clip(irfft(spectra[a] * spectra[m - a], f)[:n], 0.0, None,
                             out=tables.get(m))
@@ -441,17 +461,34 @@ def sample_conditioned_max(law, n: int, rng: np.random.Generator) -> int:
 
 
 def _law_sample(law, n: int, rng: np.random.Generator, draw):
-    """``draw`` (_bridge or _bridge_max) on the cache entry of (law, n)."""
+    """``draw`` (_bridge or _bridge_max) on the cache entry of (law, n).
+
+    An n that the law's lattice rules out raises before anything is built
+    (see _refuse_unattainable); the tables stay the final word on the rest.
+    The entry's tables keep the prefixes of one reach, read from the law's
+    spread: _SLACK * B_n for a polynomial tail, _SLACK * sigma * sqrt(n) for
+    a finite law, and at least _ROW_TOTAL + 1, which keeps every entry that
+    the CDF rows read (see _kept_width)."""
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"bridge sampling needs n >= 2, got {n}")
-    # a law with a polynomial tail keeps table prefixes; a reach of at least
-    # _ROW_TOTAL + 1 keeps every entry that the CDF rows read
-    reach = None
-    if law.tail_constant is not None:
-        reach = max(math.ceil(_SLACK * law.scaling_constant(n)), _ROW_TOTAL + 1)
+    _refuse_unattainable(n, *law._lattice)
+    reach = max(math.ceil(_SLACK * law._spread(n)), _ROW_TOTAL + 1)
     return _conditioned(law._table_key, n, lambda: law.pmf(np.arange(n)), rng,
                         draw, reach)[0]
+
+
+def _unattainable(n: int) -> str:
+    return f"total {n - 1} is unattainable by {n} draws from this law"
+
+
+def _refuse_unattainable(n: int, s0: int, d: int) -> None:
+    """Raise the ValueError of an unattainable n when n draws whose values
+    all lie in s0 + d * Z cannot sum to n - 1: n - 1 - n * s0 must be at
+    least 0 and a multiple of d (0 when there is one value, s0 alone)."""
+    r = n - 1 - n * s0
+    if r < 0 or (r % d if d else r):
+        raise ValueError(_unattainable(n))
 
 
 def _draw_in_segments(w: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
@@ -641,11 +678,11 @@ def _split_plan(n: int) -> _Plan:
 
 
 def _bridge(tables: dict, plan: _Plan, u: np.ndarray) -> np.ndarray:
-    """n i.i.d. draws from the pmf window ``tables[1]`` (of length n >= 2)
+    """n i.i.d. draws from the pmf window on [0, n-1], n = u.size + 1 >= 2,
     conditioned to sum to n-1; ``tables`` comes from _sum_pmf_tables and
     ``plan`` from _split_plan(n).  Each group reads its own slice of the n - 1
     uniforms ``u``, in plan order."""
-    n = tables[1].size
+    n = u.size + 1
     out = np.empty(n, dtype=np.int64)
     total = np.array([n - 1], dtype=np.int64)
     for leaf_out, shift, groups in plan.levels:
@@ -671,7 +708,7 @@ def _bridge_max(tables: dict, plan: _Plan, u: np.ndarray) -> int:
     whose totals exceed the largest value found so far; a live segment that
     the descent drew keeps the halves it drew there.  A segment is known by
     its level and its position in that level."""
-    n = tables[1].size
+    n = u.size + 1
     levels = plan.levels
 
     def split(level: int, at, total) -> list:
@@ -721,10 +758,11 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
                  reach=None):
     """``draw`` (_bridge or _bridge_max) of n i.i.d. draws from the pmf
     ``window()`` on [0, n-1] conditioned to sum to n-1, and the tables they
-    came from (``tables[1]`` is the window).  The entry of (key, n) is built
-    from ``window()`` on a miss, so equal keys must give equal windows: the
-    tables of the sizes its split plan holds, kept to the prefixes that
-    ``reach`` sets (see _kept_width).
+    came from (``tables[1]`` is the window, whole for a ``reach`` of
+    None).  The entry of (key, n) is built from ``window()`` on a miss, so
+    equal keys must give equal windows: the tables of the sizes its split
+    plan holds, kept to the prefixes that ``reach`` sets (see
+    _kept_width).
 
     Once n - 1 is known to be attainable, the sample takes its n - 1
     uniforms from one rng.random call before any draw.  A draw whose total
@@ -737,7 +775,7 @@ def _conditioned(key, n: int, window, rng: np.random.Generator, draw=_bridge,
 
     entry = _TABLES.get((key, n), lambda: build(reach))
     if entry[0][n] <= 0.0:
-        raise ValueError(f"total {n - 1} is unattainable by {n} draws from this law")
+        raise ValueError(_unattainable(n))
     u = rng.random(n - 1)
     while True:
         tables, plan, reach = entry

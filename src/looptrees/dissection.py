@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ._bridge import _conditioned, _draw_in_segments
+from ._bridge import _conditioned, _draw_in_segments, _refuse_unattainable
 from .gw_tree import (LukasiewiczPath, OffspringLaw, PlaneTree, _cycle_shift,
                       _integers, _json_fields, _TreeIndex)
 from .looptree import _prime_and_corner
@@ -309,6 +309,9 @@ def sample_boltzmann(law: OffspringLaw, n_leaves: int,
     if n < 2:
         raise ValueError(f"n_leaves must be >= 2, got {n}")
     mu = law.pmf(np.arange(n + 1))
+    # a block's up-total sums k - 1 over internal vertices of k >= 2
+    # children, so every total is a multiple of the gcd of those k - 1
+    _refuse_unattainable(n, 0, int(np.gcd.reduce(np.flatnonzero(mu[2:]) + 1)))
     # the block tables share the bridge's cache with the law's own, under a
     # key of their own, so laws of equal values build them once per n;
     # tables[1] is the block pmf

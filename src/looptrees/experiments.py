@@ -58,12 +58,18 @@ _SEED_END = 2**63
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent reproducible substream for one replicate.  ``seed`` must
-    lie in [0, 2**63): numpy reads a key word outside it through a float,
-    so seeds past 2**63 would share streams, and others warn or fail."""
-    if not 0 <= seed < _SEED_END:
-        raise ConfigError("seed", f"seed must be in [0, 2**63), got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """Independent reproducible substream for one replicate.  ``seed`` and
+    ``index`` must be integers (numpy's too, but not bools) in [0, 2**63):
+    numpy truncates a float key word and reads one outside that range
+    through a float, so such keys would share streams, or warn or fail."""
+    key = []
+    for param, value in (("seed", seed), ("index", index)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(param, f"{param} must be an integer, got {value!r}")
+        if not 0 <= value < _SEED_END:
+            raise ConfigError(param, f"{param} must be in [0, 2**63), got {value}")
+        key.append(int(value))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _pool_size() -> int:

@@ -88,6 +88,13 @@ class OffspringLaw:
         # pmfs, so they share bridge tables (see _bridge)
         self._table_key = (self.alpha, self._theta, self._support_start,
                            hashlib.blake2b(pmf.tobytes(), digest_size=16).digest())
+        # (s0, d): every atom lies in s0 + d * Z, s0 the smallest and d the
+        # gcd of the differences; a tail holds every k from its first atom on
+        atoms = np.flatnonzero(pmf)
+        if _theta is not None:
+            lo = max(pmf.size, _support_start)
+            atoms = np.append(atoms, [lo, lo + 1])
+        self._lattice = (int(atoms[0]), int(np.gcd.reduce(atoms - atoms[0])))
 
     def _beyond_table(self, moment: int) -> float:
         """Sum of k**moment * mu_k over the atoms k past the stored table
@@ -152,6 +159,14 @@ class OffspringLaw:
         alpha = self.alpha
         gamma_abs = math.gamma(2.0 - alpha) / (alpha - 1.0)
         return (self.tail_constant * gamma_abs * n) ** (1.0 / alpha)
+
+    def _spread(self, n: int) -> float:
+        """The scale of a sum of n draws about its mean: B_n for a polynomial
+        tail, else sigma * sqrt(n) with sigma**2 = sum k**2 mu_k - 1."""
+        if self.tail_constant is not None:
+            return self.scaling_constant(n)
+        k = np.arange(self._pmf.size)
+        return math.sqrt(max(float(np.dot(k * k, self._pmf)) - 1.0, 0.0) * n)
 
     def __repr__(self) -> str:
         kind = "no-unary" if self.forbids_unary else "generic"

@@ -33,7 +33,7 @@ from looptrees._bridge import (
     sample_conditioned_steps,
 )
 from looptrees.dissection import _block_pmf, sample_boltzmann
-from looptrees.gw_tree import OffspringLaw, stable_offspring
+from looptrees.gw_tree import OffspringLaw, sample_conditioned_tree, stable_offspring
 
 from conftest import bridge_by_levels, half_sizes_by_search
 
@@ -743,9 +743,14 @@ def _same_as_full_width(law, n: int, seed: int, full) -> None:
         assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("n", [_EXACT_CONV_LIMIT + 1, 30001])
+# a finite law of variance 1
+_FINITE = OffspringLaw.from_probabilities([0.4, 0.3, 0.2, 0.1])
+
+
+@pytest.mark.parametrize("n", [3000, _EXACT_CONV_LIMIT, _EXACT_CONV_LIMIT + 1, 30001])
 @pytest.mark.parametrize("law", [stable_offspring(1.05), stable_offspring(1.5),
-                                 stable_offspring(1.95, "no-unary")], ids=repr)
+                                 stable_offspring(1.95, "no-unary"), _FINITE],
+                         ids=repr)
 def test_kept_prefixes_draw_as_full_tables_do(fresh_cache, law, n):
     full = _full_width(law, n, range(4))
     for seed in range(4):
@@ -754,33 +759,52 @@ def test_kept_prefixes_draw_as_full_tables_do(fresh_cache, law, n):
 
 
 def test_lattice_law_draws_as_full_tables_do(fresh_cache):
-    # a law without a tail constant keeps full windows; 4097 and 5000 are
-    # unattainable for the support {0, 3}, 5002 is not
+    # a finite law keeps prefixes at every n, exact convolution or FFT;
+    # 4097 and 5000 are unattainable for the support {0, 3} and build
+    # nothing, 3001, 4096 and 5002 are attainable
     law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
-    for n in (_EXACT_CONV_LIMIT + 1, 5000, 5002):
+    for n in (3001, _EXACT_CONV_LIMIT, _EXACT_CONV_LIMIT + 1, 5000, 5002):
         full = _full_width(law, n, [0])
         _same_as_full_width(law, n, 0, full)
-        tables = _bridge._TABLES._entries[(law._table_key, n)][0][0]
-        assert all(tables[m].size == n for m in half_sizes_by_search(n)[:-1])
+        entry = _bridge._TABLES._entries.get((law._table_key, n))
+        if (n - 1) % 3:
+            assert entry is None
+            continue
+        tables, _, reach = entry[0]
+        assert reach == math.ceil(_bridge._SLACK * math.sqrt(2 * n))  # sigma**2 = 2
+        assert all(tables[m].size == _bridge._kept_width(m, n, reach)
+                   for m in half_sizes_by_search(n)[:-1])
+        assert tables[2].size < n
 
 
 def test_kept_prefixes_are_full_width_prefixes(fresh_cache):
-    law, n = stable_offspring(1.5), 30001
-    full = _sum_pmf_tables(law.pmf(np.arange(n)), _split_plan(n))
-    sample_conditioned_steps(law, n, np.random.default_rng(0))
-    (tables, plan, reach), size = _bridge._TABLES._entries[(law._table_key, n)]
-    assert reach == math.ceil(_bridge._SLACK * law.scaling_constant(n))
-    assert tables.keys() == full.keys()
-    for key, table in tables.items():
-        width = _bridge._kept_width(key, n, reach) if key in range(2, n) else None
-        want = full[key] if width is None else full[key][:width]
-        assert np.array_equal(table, want), key
-    assert tables[(n + 1) // 2].size == tables[n // 2].size == n
-    assert tables[2].size < n
-    # cache_info counts the kept bytes: 0.36 of a full build's here, since
-    # tables[1], both halves of n and the tables of the next level keep all n
-    assert cache_info()["bytes"] == size == _nbytes(tables) + _nbytes(plan)
-    assert _nbytes(tables) <= 0.4 * _nbytes(full)
+    # (law, n, the largest share of a full build's bytes the tables keep)
+    for law, n, share in ((stable_offspring(1.5), 30001, 0.35),
+                          (stable_offspring(1.5), 3000, 0.45),
+                          (stable_offspring(1.5), _EXACT_CONV_LIMIT, 0.55),
+                          (_FINITE, 3000, 0.3),
+                          (_FINITE, _EXACT_CONV_LIMIT, 0.4),
+                          (_FINITE, _EXACT_CONV_LIMIT + 1, 0.35),
+                          (_FINITE, 30001, 0.3)):
+        _bridge._TABLES.clear()
+        full = _sum_pmf_tables(law.pmf(np.arange(n)), _split_plan(n))
+        sample_conditioned_steps(law, n, np.random.default_rng(0))
+        (tables, plan, reach), size = _bridge._TABLES._entries[(law._table_key, n)]
+        # the spread: B_n for the tail, sigma * sqrt(n) with sigma = 1 for _FINITE
+        spread = law.scaling_constant(n) if law.alpha else math.sqrt(n)
+        assert reach == math.ceil(_bridge._SLACK * spread) > _ROW_TOTAL
+        assert tables.keys() == full.keys()
+        for key, table in tables.items():
+            width = _bridge._kept_width(key, n, reach) if key in range(1, n) else None
+            want = full[key] if width is None else full[key][:width]
+            assert np.array_equal(table, want), (n, key)
+        assert tables[(n + 1) // 2].size == tables[n // 2].size == n
+        assert tables[1].size < n and tables[2].size < n
+        # cache_info counts the kept bytes: 0.33 of a full build's at alpha =
+        # 1.5 and 30001, since both halves of n and the tables of the next
+        # level keep all n
+        assert cache_info()["bytes"] == size == _nbytes(tables) + _nbytes(plan)
+        assert _nbytes(tables) <= share * _nbytes(full), (law, n)
 
 
 def test_overflow_widens_the_entry_once_and_draws_the_same(fresh_cache, monkeypatch):
@@ -882,10 +906,34 @@ def test_lattice_law_unattainable_above_limit():
     assert int(x.sum()) == 5001 and set(x.tolist()) <= {0, 3}
 
 
-def test_lattice_boltzmann_unattainable_above_limit():
-    # blocks of the same law carry even up-totals, so n_leaves - 1 must be even
+def test_lattice_boltzmann_unattainable_above_limit(fresh_cache):
+    # blocks of the same law carry even up-totals, so n_leaves - 1 must be
+    # even, which is known before any block pmf is built
     law = OffspringLaw.from_probabilities([2 / 3, 0, 0, 1 / 3])
     with pytest.raises(ValueError, match="unattainable"):
         sample_boltzmann(law, 5000, np.random.default_rng(0))
+    assert (cache_info()["misses"], cache_info()["entries"]) == (0, 0)
     d = sample_boltzmann(law, 5001, np.random.default_rng(0))
     assert d.n_sides == 5002
+
+
+@pytest.mark.parametrize(("probabilities", "n"), [
+    ([0.5, 0, 0.5], 4),  # support {0, 2}: n - 1 must be even
+    ([0.5, 0, 0.5], 10**6),
+    ([2 / 3, 0, 0, 1 / 3], _EXACT_CONV_LIMIT + 1),  # {0, 3}: 3 must divide n - 1
+    ([2 / 3, 0, 0, 1 / 3], 5000),
+    ([0, 1], 2),  # {1}: n draws sum to n
+    ([0, 1], 5000),
+])
+def test_unattainable_lattice_size_raises_before_any_build(fresh_cache, probabilities, n):
+    law = OffspringLaw.from_probabilities(probabilities)
+    sample_conditioned_steps(stable_offspring(1.5), 50, np.random.default_rng(0))
+    before = cache_info()
+    for sample in (sample_conditioned_steps, sample_conditioned_max,
+                   sample_conditioned_tree):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^total {n - 1} is unattainable by {n} "):
+            sample(law, n, rng)
+        assert rng.bit_generator.state == state
+        assert cache_info() == before

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import numpy as np
@@ -100,6 +101,28 @@ def test_stream_refuses_a_seed_outside_its_range(seed):
     with pytest.raises(ConfigError, match=message) as info:
         stream(seed, 0)
     assert info.value.param == "seed"
+
+
+@pytest.mark.parametrize(("seed", "index", "param", "message"), [
+    (1.5, 0, "seed", "seed must be an integer, got 1.5"),
+    (True, 0, "seed", "seed must be an integer, got True"),
+    (np.float64(1.0), 0, "seed", "seed must be an integer, got np.float64(1.0)"),
+    (1, 0.7, "index", "index must be an integer, got 0.7"),
+    (1, False, "index", "index must be an integer, got False"),
+    (1, -1, "index", "index must be in [0, 2**63), got -1"),
+    (1, 2**63, "index", "index must be in [0, 2**63), got 9223372036854775808"),
+])
+def test_stream_refuses_a_key_that_is_not_an_integer_in_range(seed, index, param, message):
+    # numpy truncated these: 1.5, True, (1, 0.7) and (1, 0) drew one stream
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+        stream(seed, index)
+    assert info.value.param == param
+
+
+def test_stream_takes_numpy_integers():
+    want = stream(3, 5).bit_generator.random_raw(4).tolist()
+    for seed, index in ((np.int64(3), 5), (3, np.uint64(5)), (np.int32(3), np.int8(5))):
+        assert stream(seed, index).bit_generator.random_raw(4).tolist() == want
 
 
 def test_stream_keeps_the_draws_of_seeds_in_range():
